@@ -17,7 +17,6 @@ from .infrared import (
     enumerate_convex_paths,
     fs_filtration,
     polygon_trace,
-    stokes_matrix,
     stokes_matrix_oracle,
     wall_cross_report,
     zeta_order,
@@ -175,8 +174,8 @@ def _cmd_paths(args, out, pretty):
 def _cmd_stokes(args, out, pretty):
     md = _load_diagram(args.config)
     zeta = _parse_direction(args.zeta)
-    C = stokes_matrix(md, zeta)
     fs = fs_filtration(md, zeta)
+    C = fs.C
     if not args.oracle:
         _emit(out, {"filtration": {"order": fs.order, "dims": fs.dims},
                     "stokes": C.to_obj()}, pretty)

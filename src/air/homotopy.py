@@ -40,12 +40,11 @@ from .exactgeom import (
     check_genericity,
     cross,
     convex_hull,
-    dot,
     point_in_convex_polygon,
     pt,
-    rho,
     vsub,
 )
+from .infrared import NonGenericZeta, _frame, _right_turn_chains
 from .linalg import Matrix, det, mat_mul, solve, zeros
 from .secondary import (
     Cells,
@@ -538,39 +537,17 @@ def extended_triangulations(config: PointConfig, eta: Direction,
 # -- the algebra of infinite polygons ---------------------------------------------
 
 
-def _eta_positions(config: PointConfig, eta: Direction) -> Dict[str, Fraction]:
-    r = rho(eta.vec())
-    return {l: dot((config.point(l).x, config.point(l).y), r)
-            for l in config.labels}
-
-
 def convex_chains(config: PointConfig, eta: Direction) -> List[Tuple[str, ...]]:
     """All chains of length >= 2, strictly increasing in the eta-order and
     turning right at every interior point."""
-    rep = check_genericity(config, zeta=eta.vec())
-    if not rep:
-        raise DegenerateConfig(f"eta is not generic: {rep.violations}")
-    pos = _eta_positions(config, eta)
-    order = sorted(config.labels, key=lambda l: pos[l])
-    chains: List[Tuple[str, ...]] = []
-
-    def extend(chain: List[str]) -> None:
-        if len(chain) >= 2:
-            chains.append(tuple(chain))
-        last_i = order.index(chain[-1])
-        for nxt in order[last_i + 1:]:
-            if len(chain) >= 2:
-                u = vsub(config.point(chain[-1]), config.point(chain[-2]))
-                v = vsub(config.point(nxt), config.point(chain[-1]))
-                if cross(u, v) >= 0:
-                    continue
-            chain.append(nxt)
-            extend(chain)
-            chain.pop()
-
-    for start in order:
-        extend([start])
-    chains.sort(key=lambda ch: (len(ch), tuple(order.index(l) for l in ch)))
+    try:
+        fr = _frame(config, eta)
+    except NonGenericZeta as e:
+        raise DegenerateConfig(f"eta is not generic: {e}") from e
+    chains = [ch for start in fr.order
+              for ch in _right_turn_chains(config, fr, start, fr.order[-1])
+              if len(ch) >= 2]
+    chains.sort(key=lambda ch: (len(ch), tuple(fr.rank[l] for l in ch)))
     return chains
 
 

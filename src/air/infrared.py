@@ -4,11 +4,25 @@ Vacua are ordered by increasing inner product with rho(zeta), the +90 degree
 rotation of zeta.  A convex path visits vacua in strictly increasing order and
 turns right at every interior vertex; equivalently each vertex is extreme in
 the convex hull of the rays w + R+*zeta, an equivalence the tests check
-rather than assume.  The Stokes block C_ij sums the transport composites over
-all convex paths from i to j.  An independent oracle reassembles the same
-matrix as an angle-ordered product of elementary factors Id + t_ij E_ij,
-multiplied so that factors of smaller angle from zeta act later; equality of
-the two is the headline acceptance property.
+rather than assume.  Genericity is checked once per (configuration, zeta): a
+private frame holds the order, its rank map and the positions, and every
+function here reads the order from it.
+
+The Stokes block C_ij sums the transport composites over all convex paths
+from i to j.  Their number grows exponentially (on a convex arc every
+increasing subsequence is one), so stokes_matrix never lists them: for each
+source i a dynamic program over last edges keeps F[(a, b)], the summed
+composites of the convex paths from i ending with the edge a -> b.  It starts
+from F[(i, b)] = t_ib, adds t_bc F[(a, b)] into F[(b, c)] whenever a, b, c
+turn right, taking the edges by increasing rank of b, and reads off
+C_ij = sum_a F[(a, j)]; that is O(n^3) block products per source.
+enumerate_convex_paths still lists the paths, for `air paths` and as the
+definition the tests compare against.
+
+An independent oracle reassembles the same matrix as an angle-ordered product
+of elementary factors Id + t_ij E_ij, multiplied so that factors of smaller
+angle from zeta act later; equality of the two is the headline acceptance
+property.
 
 Walls are the ray directions +-(w_j - w_i); between consecutive walls the
 Stokes matrix is locally constant, and wall_cross_report samples the two
@@ -21,7 +35,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactgeom import (
     DegenerateConfig,
@@ -81,8 +95,15 @@ def _positions(config: PointConfig, zeta: Direction) -> Dict[str, Fraction]:
             for l in config.labels}
 
 
-def zeta_order(config: PointConfig, zeta: Direction) -> List[str]:
-    """Labels by strictly increasing <w, rho(zeta)>."""
+@dataclass(frozen=True)
+class _Frame:
+    """Facts about a (configuration, zeta) pair, computed once."""
+    order: List[str]                 # labels by increasing <w, rho(zeta)>
+    rank: Dict[str, int]             # label -> index in order
+    pos: Dict[str, Fraction]         # label -> <w, rho(zeta)>
+
+
+def _frame(config: PointConfig, zeta: Direction) -> _Frame:
     rep = check_genericity(config, zeta=zeta.vec())
     if any(v[0] == "collinear" for v in rep.violations):
         raise DegenerateConfig(f"non-generic configuration: {rep.violations}")
@@ -90,28 +111,57 @@ def zeta_order(config: PointConfig, zeta: Direction) -> List[str]:
         raise NonGenericZeta(f"tied projections for zeta={zeta}: "
                              f"{[v[1:] for v in rep.violations]}")
     pos = _positions(config, zeta)
-    return sorted(config.labels, key=lambda l: pos[l])
+    order = sorted(config.labels, key=lambda l: pos[l])
+    return _Frame(order, {l: i for i, l in enumerate(order)}, pos)
+
+
+def zeta_order(config: PointConfig, zeta: Direction) -> List[str]:
+    """Labels by strictly increasing <w, rho(zeta)>."""
+    return _frame(config, zeta).order
+
+
+def _turns_right(config: PointConfig, a: str, b: str, c: str) -> bool:
+    u = vsub(config.point(b), config.point(a))
+    v = vsub(config.point(c), config.point(b))
+    return cross(u, v) < 0
+
+
+def _right_turn_chains(config: PointConfig, frame: _Frame, src: str,
+                       last: str) -> Iterator[Tuple[str, ...]]:
+    """Every chain from src, strictly increasing in the frame order and no
+    further than last, that turns right at each interior vertex; depth
+    first, the one-point chain (src,) first."""
+    order, rank = frame.order, frame.rank
+    chain = [src]
+
+    def extend() -> Iterator[Tuple[str, ...]]:
+        yield tuple(chain)
+        tip = chain[-1]
+        for nxt in order[rank[tip] + 1: rank[last] + 1]:
+            if len(chain) >= 2 and not _turns_right(config, chain[-2], tip,
+                                                    nxt):
+                continue
+            chain.append(nxt)
+            yield from extend()
+            chain.pop()
+
+    return extend()
 
 
 def is_convex_path(config: PointConfig, zeta: Direction,
                    seq: Sequence[str]) -> bool:
     """Operational predicate: strictly increasing zeta-order, forward edges,
     right turns at interior vertices."""
-    order = zeta_order(config, zeta)
-    rank = {l: i for i, l in enumerate(order)}
-    if len(seq) == 0 or any(l not in rank for l in seq):
+    fr = _frame(config, zeta)
+    if len(seq) == 0 or any(l not in fr.rank for l in seq):
         return False
-    if any(rank[a] >= rank[b] for a, b in zip(seq, seq[1:])):
+    if any(fr.rank[a] >= fr.rank[b] for a, b in zip(seq, seq[1:])):
         return False
-    pts = [config.point(l) for l in seq]
-    r = rho(zeta.vec())
-    for a, b in zip(pts, pts[1:]):
-        if dot(vsub(b, a), r) <= 0:  # forward edge, implied by the order
+    for a, b in zip(seq, seq[1:]):
+        if fr.pos[b] <= fr.pos[a]:  # forward edge, implied by the order
             return False
-    for a, b, c in zip(pts, pts[1:], pts[2:]):
-        if cross(vsub(b, a), vsub(c, b)) >= 0:
-            return False
-    return True
+    return all(_turns_right(config, a, b, c)
+               for a, b, c in zip(seq, seq[1:], seq[2:]))
 
 
 def hull_vertex_convex_path(config: PointConfig, zeta: Direction,
@@ -119,8 +169,7 @@ def hull_vertex_convex_path(config: PointConfig, zeta: Direction,
     """Definitional predicate: increasing zeta-order and every vertex extreme
     in the convex hull of the rays w_mu + R+*zeta, decided by exact
     feasibility (w is non-extreme iff it lies in conv(others) + R+*zeta)."""
-    order = zeta_order(config, zeta)
-    rank = {l: i for i, l in enumerate(order)}
+    rank = _frame(config, zeta).rank
     if len(seq) == 0 or any(l not in rank for l in seq):
         return False
     if any(rank[a] >= rank[b] for a, b in zip(seq, seq[1:])):
@@ -149,30 +198,14 @@ def hull_vertex_convex_path(config: PointConfig, zeta: Direction,
 def enumerate_convex_paths(config: PointConfig, zeta: Direction,
                            src: str, dst: str) -> List[Tuple[str, ...]]:
     """All convex paths src -> dst, shortest first, then by position."""
-    order = zeta_order(config, zeta)
-    rank = {l: i for i, l in enumerate(order)}
+    fr = _frame(config, zeta)
+    rank = fr.rank
     if src not in rank or dst not in rank:
         raise ValueError(f"unknown labels {src}, {dst}")
     if rank[src] >= rank[dst]:
         raise ValueError(f"{src} does not precede {dst} in the zeta-order")
-    out: List[Tuple[str, ...]] = []
-
-    def extend(chain: List[str]) -> None:
-        last = chain[-1]
-        if last == dst:
-            out.append(tuple(chain))
-            return
-        for nxt in order[rank[last] + 1: rank[dst] + 1]:
-            if len(chain) >= 2:
-                u = vsub(config.point(last), config.point(chain[-2]))
-                v = vsub(config.point(nxt), config.point(last))
-                if cross(u, v) >= 0:
-                    continue
-            chain.append(nxt)
-            extend(chain)
-            chain.pop()
-
-    extend([src])
+    out = [ch for ch in _right_turn_chains(config, fr, src, dst)
+           if ch[-1] == dst]
     out.sort(key=lambda ch: (len(ch), tuple(rank[l] for l in ch)))
     return out
 
@@ -268,24 +301,39 @@ class StokesMatrix:
             self.dims == other.dims and self.blocks == other.blocks
 
 
+def _madd(a: Matrix, b: Matrix) -> Matrix:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def stokes_matrix(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
-    """C_ij = sum over convex paths i -> j of the transport composites."""
-    order = zeta_order(md.config, zeta)
+    """C_ij = sum over convex paths i -> j of the transport composites, by
+    the dynamic program over last edges (see the module docstring)."""
+    config = md.config
+    order = _frame(config, zeta).order
     dims = md.phi_dims
+    n = len(order)
+    # (a, b) -> the labels c after b at which a -> b -> c turns right
+    turns = {(order[x], order[y]): [c for c in order[y + 1:]
+                                    if _turns_right(config, order[x],
+                                                    order[y], c)]
+             for x in range(n) for y in range(x + 1, n)}
     blocks: Dict[Tuple[str, str], Matrix] = {}
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            i, j = order[a], order[b]
-            total = _zeros(dims[j], dims[i])
-            for path in enumerate_convex_paths(md.config, zeta, i, j):
-                comp = identity(dims[i])
-                at = i
-                for nxt in path[1:]:
-                    comp = _mm(md.t(at, nxt), comp, dims[nxt], dims[at], dims[i])
-                    at = nxt
-                total = [[x + y for x, y in zip(ra, rb)]
-                         for ra, rb in zip(total, comp)]
-            blocks[(i, j)] = total
+    for s in range(n):
+        i = order[s]
+        # F[(a, b)]: summed composites of the convex paths from i ending a -> b
+        F = {(i, b): md.t(i, b) for b in order[s + 1:]}
+        for y in range(s + 1, n):
+            b = order[y]
+            total = _zeros(dims[b], dims[i])
+            for a in order[s:y]:
+                f = F.get((a, b))
+                if f is None:
+                    continue
+                total = _madd(total, f)
+                for c in turns[(a, b)]:
+                    g = _mm(md.t(b, c), f, dims[c], dims[b], dims[i])
+                    F[(b, c)] = _madd(F[(b, c)], g) if (b, c) in F else g
+            blocks[(i, b)] = total
     return StokesMatrix(zeta, order, dict(dims), blocks)
 
 
@@ -294,7 +342,7 @@ def stokes_matrix_oracle(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
     Id + t_ij E_ij over pairs i before j, in increasing angle of w_j - w_i
     from zeta; smaller angles act later (appear on the left)."""
     config = md.config
-    order = zeta_order(config, zeta)
+    order = _frame(config, zeta).order
     dims = md.phi_dims
     pairs = []
     for a in range(len(order)):
@@ -357,17 +405,21 @@ def _mediant(u: Direction, v: Direction) -> Direction:
     return Direction.of(s[0], s[1])
 
 
-def chamber_sample(config: PointConfig, ray: Direction,
-                   side: str = "after") -> Direction:
-    """An exact direction strictly inside the chamber clockwise ("before") or
-    anticlockwise ("after") of the given wall ray."""
-    rays = stokes_rays(config)
+def _sample_beside(rays: List[Direction], ray: Direction,
+                   side: str) -> Direction:
     if ray not in rays:
         raise BadRay(f"{ray} is not a wall of this configuration")
     k = rays.index(ray)
     if side == "after":
         return _mediant(ray, rays[(k + 1) % len(rays)])
     return _mediant(rays[(k - 1) % len(rays)], ray)
+
+
+def chamber_sample(config: PointConfig, ray: Direction,
+                   side: str = "after") -> Direction:
+    """An exact direction strictly inside the chamber clockwise ("before") or
+    anticlockwise ("after") of the given wall ray."""
+    return _sample_beside(stokes_rays(config), ray, side)
 
 
 @dataclass
@@ -393,8 +445,9 @@ class WallCrossReport:
 
 
 def wall_cross_report(md: MatrixDiagram, ray: Direction) -> WallCrossReport:
-    zb = chamber_sample(md.config, ray, "before")
-    za = chamber_sample(md.config, ray, "after")
+    rays = stokes_rays(md.config)
+    zb = _sample_beside(rays, ray, "before")
+    za = _sample_beside(rays, ray, "after")
     before = stokes_matrix(md, zb)
     after = stokes_matrix(md, za)
     basis = list(md.config.labels)

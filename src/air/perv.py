@@ -52,6 +52,10 @@ class BadGenerator(ValueError):
     pass
 
 
+class MalformedDiagram(ValueError):
+    """A diagram document lacks a key or has the wrong shape."""
+
+
 # -- shape-explicit matrix helpers (dimensions may be zero) ----------------------
 
 
@@ -84,6 +88,14 @@ def _one_minus(a: Matrix) -> Matrix:
 
 def _mat_obj(a: Matrix) -> list:
     return [[format_rational(x) for x in row] for row in a]
+
+
+def _require(obj, keys: Sequence[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise MalformedDiagram(f"{where} must be a JSON object")
+    for k in keys:
+        if k not in obj:
+            raise MalformedDiagram(f"{where} lacks key {k!r}")
 
 
 def _mat_parse(obj, rows: int, cols: int) -> Matrix:
@@ -133,7 +145,11 @@ class GmvDiagram:
 
     @staticmethod
     def from_obj(obj: dict) -> "GmvDiagram":
+        _require(obj, ("points", "psi_dim", "phi_dims", "a", "a_prime"),
+                 "GMV diagram")
         config = PointConfig.from_obj({"points": obj["points"]})
+        for key in ("phi_dims", "a", "a_prime"):
+            _require(obj[key], config.labels, key)
         m = int(obj["psi_dim"])
         dims = {l: int(v) for l, v in obj["phi_dims"].items()}
         a = {l: _mat_parse(obj["a"][l], m, dims[l]) for l in config.labels}
@@ -244,13 +260,22 @@ class MatrixDiagram:
 
     @staticmethod
     def from_obj(obj: dict) -> "MatrixDiagram":
+        _require(obj, ("points", "phi_dims", "monodromies"), "matrix diagram")
         config = PointConfig.from_obj({"points": obj["points"]})
+        for key in ("phi_dims", "monodromies"):
+            _require(obj[key], config.labels, key)
         dims = {l: int(v) for l, v in obj["phi_dims"].items()}
         mono = {l: _mat_parse(obj["monodromies"][l], dims[l], dims[l])
                 for l in config.labels}
+        transports = obj.get("transports", {})
+        _require(transports, (), "transports")
         trans = {}
-        for key, m in obj.get("transports", {}).items():
-            i, j = key.split("->")
+        for key, m in transports.items():
+            ends = key.split("->")
+            if len(ends) != 2 or any(l not in config.coords for l in ends):
+                raise MalformedDiagram(f"transport key {key!r} is not "
+                                       f"'i->j' for two labels")
+            i, j = ends
             trans[(i, j)] = _mat_parse(m, dims[j], dims[i])
         return MatrixDiagram(config, dims, mono, trans,
                              list(obj.get("order", [])))

@@ -65,6 +65,22 @@ def test_domain_error_is_machine_readable(md):
     assert "message" in payload
 
 
+@pytest.mark.parametrize("argv", [
+    ["stokes", "--zeta", "1,0"],
+    ["wallcross", "--ray", "1,0"],
+    ["mutate", "--word", "1"],
+    ["trace", "--subset", "p1,p2,p3"],
+])
+def test_bare_configuration_for_a_diagram_is_domain_error(pentagon, argv):
+    _, path = pentagon
+    code, out, err = invoke(argv[0], "--config", path, *argv[1:])
+    assert code == 1
+    assert out == b""
+    payload = json.loads(err)
+    assert payload["error"] == "MalformedDiagram"
+    assert "'phi_dims'" in payload["message"]
+
+
 def test_success_exit_zero(md):
     _, path = md
     code, _, _ = invoke("stokes", "--config", path, "--zeta", "0,1")

@@ -246,6 +246,12 @@ def test_convex_chains_on_an_arc_are_all_subsequences():
     assert chains == expected
 
 
+def test_convex_chains_reject_a_tied_eta():
+    arc = PointConfig.of([("a", 3, 0), ("b", 1, -2), ("c", -1, -2), ("d", -3, 0)])
+    with pytest.raises(DegenerateConfig):
+        convex_chains(arc, Direction.of(1, 0))  # b, c tie under rho(eta)
+
+
 def test_two_point_algebra_is_trivial():
     alg = build_ainf(PointConfig.of([("a", -1, 0), ("b", 1, 0)]), UP)
     assert alg.basis == [("b", "a")]

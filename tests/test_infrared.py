@@ -30,6 +30,7 @@ from air.linalg import identity, mat, mat_eq, mat_mul
 from air.perv import MatrixDiagram
 
 from conftest import (
+    random_generic_config,
     random_generic_zeta,
     random_matrix_diagram,
     random_stokes_config,
@@ -231,6 +232,66 @@ def test_stokes_matrix_zero_dims():
     assert stokes_matrix_oracle(md, Z_DOWN) == C
 
 
+def path_sum_definition(md, zeta):
+    """C_ij as the definition states it: the transport composites summed
+    over every convex path i -> j listed by enumerate_convex_paths."""
+    order = zeta_order(md.config, zeta)
+    dims = md.phi_dims
+    blocks = {}
+    for i, j in itertools.combinations(order, 2):
+        total = [[Fraction(0)] * dims[i] for _ in range(dims[j])]
+        for path in enumerate_convex_paths(md.config, zeta, i, j):
+            comp = identity(dims[i])
+            for u, v in zip(path, path[1:]):
+                t = md.t(u, v)
+                comp = [[sum((t[r][k] * comp[k][c] for k in range(dims[u])),
+                             Fraction(0)) for c in range(dims[i])]
+                        for r in range(dims[v])]
+            total = [[x + y for x, y in zip(ra, rb)]
+                     for ra, rb in zip(total, comp)]
+        blocks[(i, j)] = total
+    return StokesMatrix(zeta, order, dict(dims), blocks)
+
+
+def test_stokes_matrix_equals_the_path_sum_definition():
+    rng = random.Random(409)
+    oracle_refused = 0
+    for trial in range(24):
+        n = rng.randint(2, 9)
+        if trial % 2:  # convex position, with parallel differences when
+            # two pairs of abscissae have equal sums
+            xs = rng.sample(range(-6, 7), n)
+            cfg = PointConfig.of([(f"p{k}", x, x * x)
+                                  for k, x in enumerate(xs)])
+        else:
+            cfg = random_generic_config(rng, n, lo=-6, hi=6)
+        md = random_matrix_diagram(rng, cfg, max_dim=2, min_dim=0)
+        zeta = random_generic_zeta(rng, cfg)
+        assert stokes_matrix(md, zeta) == path_sum_definition(md, zeta)
+        try:
+            stokes_matrix_oracle(md, zeta)
+        except ParallelDifferences:
+            oracle_refused += 1
+    assert oracle_refused >= 4
+
+
+def test_stokes_matrix_checks_genericity_once(monkeypatch):
+    import air.infrared as infrared
+    rng = random.Random(410)
+    cfg = random_generic_config(rng, 7)
+    md = random_matrix_diagram(rng, cfg, min_dim=1)
+    zeta = random_generic_zeta(rng, cfg)
+    calls = []
+    real = infrared.check_genericity
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(infrared, "check_genericity", counted)
+    stokes_matrix(md, zeta)
+    assert len(calls) == 1
+
+
 # -- the oracle ----------------------------------------------------------------------
 
 
@@ -345,6 +406,23 @@ def test_wall_cross_bad_ray():
     md = rank_one_diagram(cfg, {})
     with pytest.raises(BadRay):
         wall_cross_report(md, Direction.of(0, 1))
+
+
+def test_wall_cross_report_sorts_the_rays_once(monkeypatch):
+    import air.infrared as infrared
+    md = rank_one_diagram(cfg3b(), {("w2", "w1"): 2, ("w3", "w1"): 5})
+    calls = []
+    real = infrared.stokes_rays
+
+    def counted(config):
+        calls.append(config)
+        return real(config)
+    monkeypatch.setattr(infrared, "stokes_rays", counted)
+    ray = real(md.config)[0]
+    rep = wall_cross_report(md, ray)
+    assert len(calls) == 1
+    assert rep.zeta_before == chamber_sample(md.config, ray, "before")
+    assert rep.zeta_after == chamber_sample(md.config, ray, "after")
 
 
 def test_wall_cross_connecting_property_random():

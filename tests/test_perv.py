@@ -12,6 +12,7 @@ from air.perv import (
     Detour,
     GmvDiagram,
     InvalidGmv,
+    MalformedDiagram,
     MalformedPath,
     MatrixDiagram,
     PathWord,
@@ -311,3 +312,29 @@ def test_gmv_json_round_trip():
     assert back.psi_dim == g.psi_dim
     assert back.a == g.a and back.a_prime == g.a_prime
     assert back.to_json() == g.to_json()
+
+
+def test_malformed_documents_name_what_is_missing():
+    md = random_matrix_diagram(random.Random(17), CFG3).to_obj()
+    g = realize_matrix_diagram(MatrixDiagram.from_obj(md)).to_obj()
+    bare = {"points": md["points"]}
+    with pytest.raises(MalformedDiagram, match="'phi_dims'"):
+        MatrixDiagram.from_obj(bare)
+    with pytest.raises(MalformedDiagram, match="'psi_dim'"):
+        GmvDiagram.from_obj(bare)
+    with pytest.raises(MalformedDiagram, match="JSON object"):
+        MatrixDiagram.from_obj([])
+    del md["monodromies"]["w"]
+    with pytest.raises(MalformedDiagram, match="monodromies lacks key 'w'"):
+        MatrixDiagram.from_obj(md)
+    del g["a_prime"]["u"]
+    with pytest.raises(MalformedDiagram, match="a_prime lacks key 'u'"):
+        GmvDiagram.from_obj(g)
+
+
+@pytest.mark.parametrize("key", ["u->x", "u-v", "u->v->w"])
+def test_malformed_transport_keys_rejected(key):
+    md = random_matrix_diagram(random.Random(18), CFG3).to_obj()
+    md["transports"] = {key: []}
+    with pytest.raises(MalformedDiagram, match="transport key"):
+        MatrixDiagram.from_obj(md)
