@@ -24,7 +24,7 @@ from .homotopy import build_ainf, build_web_cdga, check_d_squared, \
     check_stasheff
 from .infrared import _mediant, stokes_matrix, stokes_matrix_oracle, \
     stokes_rays, is_convex_path, hull_vertex_convex_path
-from .linalg import det, identity
+from .linalg import block_of, det, identity
 from .perv import MatrixDiagram, braid_mutate, monodromy_charpoly
 from .secondary import face_factorization, lift_subdivision, \
     brute_force_triangulations, is_triangulation, regular_triangulations, \
@@ -110,14 +110,9 @@ def _random_diagram(rng, cfg, max_dim=2, min_dim=0):
 
 def _unipotent_in_order(C) -> bool:
     full = C.full_matrix()
-    offs, run = {}, 0
-    for l in C.order:
-        offs[l] = run
-        run += C.dims[l]
     for a, i in enumerate(C.order):
         for b, j in enumerate(C.order):
-            blk = [row[offs[i]: offs[i] + C.dims[i]]
-                   for row in full[offs[j]: offs[j] + C.dims[j]]]
+            blk = block_of(full, C.order, C.dims, i, j)
             if a == b and blk != identity(C.dims[i]):
                 return False
             if a > b and any(x != 0 for r in blk for x in r):
@@ -341,8 +336,8 @@ def _diagram_equal(a: MatrixDiagram, b: MatrixDiagram) -> bool:
 def criterion_10(seed: int) -> CriterionResult:
     def run():
         import mpmath
-        from .lefschetz import Superpotential, critical_data, \
-            matrix_diagram_from_W, total_monodromy_check
+        from .lefschetz import Superpotential, _cycle_lengths, \
+            critical_data, matrix_diagram_from_W, total_monodromy_check
         W = Superpotential.of(["0", "-1", "0", "1/3"])
         data = critical_data(W)
         with mpmath.workdps(50):
@@ -356,7 +351,7 @@ def criterion_10(seed: int) -> CriterionResult:
         rep = total_monodromy_check(W)
         if not rep.ok or sorted(rep.big_perm) != [0, 1, 2]:
             return False, "total monodromy of x^3/3 - x is not a 3-cycle"
-        if _cycle_type(rep.big_perm) != [3]:
+        if _cycle_lengths(rep.big_perm) != [3]:
             return False, "total monodromy of x^3/3 - x is not a 3-cycle"
         rng = random.Random(seed + 10)
         done = 0
@@ -408,21 +403,6 @@ def _random_morse(rng):
         return Superpotential(tuple(coeffs))
     except ValueError:
         return None
-
-
-def _cycle_type(perm: List[int]) -> List[int]:
-    seen = [False] * len(perm)
-    out = []
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        n, at = 0, s
-        while not seen[at]:
-            seen[at] = True
-            at = perm[at]
-            n += 1
-        out.append(n)
-    return sorted(out)
 
 
 def criterion_11(seed: int) -> CriterionResult:

@@ -49,7 +49,9 @@ from .exactgeom import (
     rho,
     vsub,
 )
-from .linalg import Matrix, block_matrix, block_of, identity, inverse, mat_mul
+from .linalg import (Matrix, _block_layout, block_matrix, block_of, identity,
+                     inverse, mat_add, mat_from_obj, mat_mul, mat_to_obj,
+                     zeros)
 from .lp import LinearSystem
 from .perv import MatrixDiagram
 
@@ -68,22 +70,6 @@ class BadRay(ValueError):
 
 class NotConvexPosition(ValueError):
     pass
-
-
-def _zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def _mm(a: Matrix, b: Matrix, p: int, q: int, r: int) -> Matrix:
-    out = _zeros(p, r)
-    for i in range(p):
-        for k in range(q):
-            x = a[i][k]
-            if x:
-                for j in range(r):
-                    if b[k][j]:
-                        out[i][j] += x * b[k][j]
-    return out
 
 
 # -- zeta order and convexity -------------------------------------------------------
@@ -250,7 +236,7 @@ class StokesMatrix:
             return identity(self.dims[i])
         if (i, j) in self.blocks:
             return [row[:] for row in self.blocks[(i, j)]]
-        return _zeros(self.dims[j], self.dims[i])
+        return zeros(self.dims[j], self.dims[i])
 
     def full_matrix(self, basis: Optional[Sequence[str]] = None) -> Matrix:
         """Assembled matrix on the direct sum in the given block basis order
@@ -265,13 +251,11 @@ class StokesMatrix:
         return block_matrix(basis, self.dims, fn)
 
     def to_obj(self) -> dict:
-        from .exactgeom import format_rational
         return {
             "zeta": str(self.zeta),
             "order": list(self.order),
             "dims": {l: self.dims[l] for l in self.order},
-            "blocks": {f"{i}->{j}": [[format_rational(x) for x in row]
-                                     for row in b]
+            "blocks": {f"{i}->{j}": mat_to_obj(b)
                        for (i, j), b in sorted(self.blocks.items())},
         }
 
@@ -280,14 +264,13 @@ class StokesMatrix:
 
     @staticmethod
     def from_obj(obj: dict) -> "StokesMatrix":
-        from .exactgeom import parse_rational
         zx, zy = obj["zeta"].split(",")
         dims = {l: int(v) for l, v in obj["dims"].items()}
         blocks = {}
         for key, rows in obj.get("blocks", {}).items():
             i, j = key.split("->")
-            blocks[(i, j)] = [[parse_rational(x) for x in row]
-                              for row in rows]
+            blocks[(i, j)] = mat_from_obj(rows, dims[j], dims[i],
+                                          f"blocks[{key}]")
         return StokesMatrix(Direction.of(int(zx), int(zy)),
                             list(obj["order"]), dims, blocks)
 
@@ -299,10 +282,6 @@ class StokesMatrix:
         return isinstance(other, StokesMatrix) and \
             self.zeta == other.zeta and self.order == other.order and \
             self.dims == other.dims and self.blocks == other.blocks
-
-
-def _madd(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def stokes_matrix(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
@@ -324,15 +303,15 @@ def stokes_matrix(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
         F = {(i, b): md.t(i, b) for b in order[s + 1:]}
         for y in range(s + 1, n):
             b = order[y]
-            total = _zeros(dims[b], dims[i])
+            total = zeros(dims[b], dims[i])
             for a in order[s:y]:
                 f = F.get((a, b))
                 if f is None:
                     continue
-                total = _madd(total, f)
+                total = mat_add(total, f)
                 for c in turns[(a, b)]:
-                    g = _mm(md.t(b, c), f, dims[c], dims[b], dims[i])
-                    F[(b, c)] = _madd(F[(b, c)], g) if (b, c) in F else g
+                    g = mat_mul(md.t(b, c), f, dims[i])
+                    F[(b, c)] = mat_add(F[(b, c)], g) if (b, c) in F else g
             blocks[(i, b)] = total
     return StokesMatrix(zeta, order, dict(dims), blocks)
 
@@ -359,12 +338,7 @@ def stokes_matrix_oracle(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
     # comparator is a strict total order by angle from zeta
     pairs.sort(key=functools.cmp_to_key(
         lambda p, q: -1 if cross(p[0], q[0]) > 0 else 1))
-    total = sum(dims[l] for l in order)
-    offset = {}
-    run = 0
-    for l in order:
-        offset[l] = run
-        run += dims[l]
+    offset, total = _block_layout(order, dims)
     prod = identity(total)
     # increasing angle; later factors multiply on the right:
     # P <- P (Id + T E_ij) only adds P[:, j-block] T into the i-block columns
@@ -432,15 +406,13 @@ class WallCrossReport:
     connecting: Matrix  # after * before^{-1} in config label block order
 
     def to_obj(self) -> dict:
-        from .exactgeom import format_rational
         return {
             "ray": str(self.ray),
             "zeta_before": str(self.zeta_before),
             "zeta_after": str(self.zeta_after),
             "before": self.before.to_obj(),
             "after": self.after.to_obj(),
-            "connecting": [[format_rational(x) for x in row]
-                           for row in self.connecting],
+            "connecting": mat_to_obj(self.connecting),
         }
 
 
@@ -453,7 +425,7 @@ def wall_cross_report(md: MatrixDiagram, ray: Direction) -> WallCrossReport:
     basis = list(md.config.labels)
     fb = before.full_matrix(basis)
     fa = after.full_matrix(basis)
-    connecting = mat_mul(fa, inverse(fb)) if fb else []
+    connecting = mat_mul(fa, inverse(fb))
     return WallCrossReport(ray, zb, za, before, after, connecting)
 
 
@@ -475,7 +447,7 @@ def polygon_trace(md: MatrixDiagram, subset: Sequence[str]) -> Fraction:
     comp = identity(dims[start])
     at = start
     for nxt in ring[1:] + [start]:
-        comp = _mm(md.t(at, nxt), comp, dims[nxt], dims[at], dims[start])
+        comp = mat_mul(md.t(at, nxt), comp, dims[start])
         at = nxt
     return sum((comp[i][i] for i in range(dims[start])), Fraction(0))
 

@@ -3,6 +3,13 @@
 Matrices are lists of lists of Fractions (rows).  Sizes in this package are
 tiny (block matrices of total dimension <= ~15), so plain Gaussian elimination
 with exact pivoting is both fast enough and free of numerical questions.
+
+Dimensions may be zero.  An r x 0 matrix is r empty rows, ``[[]] * r``, and a
+0 x r matrix is ``[]``, so the row list loses the width of a matrix with no
+rows.  A product whose right factor is empty therefore takes its width from
+the ``cols`` argument of mat_mul.  This module is the one exact matrix kernel
+of the package: the products, block layouts and JSON codec of the diagrams
+and Stokes matrices all go through it.
 """
 
 from __future__ import annotations
@@ -19,6 +26,10 @@ class SingularMatrix(ValueError):
     pass
 
 
+class MalformedMatrix(ValueError):
+    """A matrix document is not a list of rows of the expected shape."""
+
+
 def mat(rows) -> Matrix:
     return [[parse_rational(x) for x in row] for row in rows]
 
@@ -33,6 +44,10 @@ def identity(n: int) -> Matrix:
 
 def shape(a: Matrix) -> Tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
+
+
+def has_shape(a: Matrix, rows: int, cols: int) -> bool:
+    return len(a) == rows and all(len(r) == cols for r in a)
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -54,22 +69,25 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return [[c * x for x in row] for row in a]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ma, na = shape(a)
-    mb, nb = shape(b)
-    if na != mb:
-        raise ValueError(f"shape mismatch: {shape(a)} @ {shape(b)}")
-    out = zeros(ma, nb)
-    for i in range(ma):
-        rai = a[i]
-        oi = out[i]
-        for k in range(na):
-            x = rai[k]
-            if x == 0:
-                continue
-            rbk = b[k]
-            for j in range(nb):
-                oi[j] += x * rbk[j]
+def mat_mul(a: Matrix, b: Matrix, cols: Optional[int] = None) -> Matrix:
+    """Product a @ b.  The inner dimension is len(b); the output width is
+    that of b's rows, or ``cols`` when b has no rows, which is then required
+    unless a has none either."""
+    q = len(b)
+    r = len(b[0]) if q else cols
+    if r is None and a:
+        raise ValueError("a product with an empty right factor needs cols")
+    out = []
+    for row in a:
+        if len(row) != q:
+            raise ValueError(f"shape mismatch: {len(a)}x{len(row)} @ {q}x{r}")
+        o = [Fraction(0)] * r
+        for x, bk in zip(row, b):
+            if x:
+                for j, y in enumerate(bk):
+                    if y:
+                        o[j] += x * y
+        out.append(o)
     return out
 
 
@@ -197,6 +215,18 @@ def charpoly(a: Matrix) -> List[Fraction]:
 
 # -- block matrices ---------------------------------------------------------
 
+def _block_layout(order: Sequence[str],
+                  dims: Dict[str, int]) -> Tuple[Dict[str, int], int]:
+    """The first row of each label's block, and the total dimension, when the
+    blocks are stacked in the given order."""
+    offset: Dict[str, int] = {}
+    at = 0
+    for l in order:
+        offset[l] = at
+        at += dims[l]
+    return offset, at
+
+
 def block_matrix(order: Sequence[str], dims: Dict[str, int],
                  block: Callable[[str, str], Optional[Matrix]]) -> Matrix:
     """Assemble a square block matrix over the given label order.
@@ -204,12 +234,7 @@ def block_matrix(order: Sequence[str], dims: Dict[str, int],
     ``block(src, tgt)`` returns the (tgt, src) block or None for a zero block;
     diagonal blocks default to identity when block() returns None for them.
     """
-    total = sum(dims[l] for l in order)
-    offset: Dict[str, int] = {}
-    at = 0
-    for l in order:
-        offset[l] = at
-        at += dims[l]
+    offset, total = _block_layout(order, dims)
     out = zeros(total, total)
     for src in order:
         for tgt in order:
@@ -227,11 +252,7 @@ def block_matrix(order: Sequence[str], dims: Dict[str, int],
 
 def block_of(full: Matrix, order: Sequence[str], dims: Dict[str, int],
              src: str, tgt: str) -> Matrix:
-    offset: Dict[str, int] = {}
-    at = 0
-    for l in order:
-        offset[l] = at
-        at += dims[l]
+    offset, _ = _block_layout(order, dims)
     return [[full[offset[tgt] + i][offset[src] + j] for j in range(dims[src])]
             for i in range(dims[tgt])]
 
@@ -242,5 +263,15 @@ def mat_to_obj(a: Matrix) -> list:
     return [[format_rational(x) for x in row] for row in a]
 
 
-def mat_from_obj(obj) -> Matrix:
+def mat_from_obj(obj, rows: Optional[int] = None, cols: Optional[int] = None,
+                 name: str = "matrix") -> Matrix:
+    """Parse a list of rows of rationals, checking the shape where given;
+    every row must have the same length."""
+    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+        raise MalformedMatrix(f"{name} must be a list of rows")
+    rows = len(obj) if rows is None else rows
+    if cols is None:
+        cols = len(obj[0]) if obj else 0
+    if not has_shape(obj, rows, cols):
+        raise MalformedMatrix(f"{name} must be a {rows}x{cols} matrix")
     return mat(obj)

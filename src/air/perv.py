@@ -6,8 +6,7 @@ a'_i: Psi -> Phi_i; it is valid when 1 - a_i a'_i and 1 - a'_i a_i are both
 invertible.  A matrix diagram forgets Psi and keeps the rectilinear data it
 induces: monodromies mu_i = 1 - a'_i a_i and transports t_ij = a'_j a_i, of
 shape n_j x n_i, for every ordered pair.  Matrices are nested lists of
-Fraction; zero-dimensional Phi_i are fully supported, so products carry their
-shapes explicitly instead of inferring them.
+Fraction; zero-dimensional Phi_i are fully supported.
 
 Transport along a path word multiplies the moves right-to-left.  A detour
 around p corrects the straight transport by the composite through p: left
@@ -34,10 +33,10 @@ from .exactgeom import (
     PointConfig,
     check_genericity,
     on_segment,
-    parse_rational,
-    format_rational,
 )
-from .linalg import Matrix, block_matrix, charpoly, det, identity, inverse
+from .linalg import (Matrix, _block_layout, block_matrix, charpoly, det,
+                     has_shape, identity, inverse, mat_add, mat_from_obj,
+                     mat_mul, mat_sub, mat_to_obj, zeros)
 
 
 class InvalidGmv(ValueError):
@@ -56,40 +55,6 @@ class MalformedDiagram(ValueError):
     """A diagram document lacks a key or has the wrong shape."""
 
 
-# -- shape-explicit matrix helpers (dimensions may be zero) ----------------------
-
-
-def _zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def _mm(a: Matrix, b: Matrix, p: int, q: int, r: int) -> Matrix:
-    """Product of a (p x q) and b (q x r)."""
-    out = _zeros(p, r)
-    for i in range(p):
-        for k in range(q):
-            x = a[i][k]
-            if x:
-                row = b[k]
-                for j in range(r):
-                    if row[j]:
-                        out[i][j] += x * row[j]
-    return out
-
-
-def _madd(a: Matrix, b: Matrix, sign: int = 1) -> Matrix:
-    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _one_minus(a: Matrix) -> Matrix:
-    n = len(a)
-    return [[(1 if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
-
-
-def _mat_obj(a: Matrix) -> list:
-    return [[format_rational(x) for x in row] for row in a]
-
-
 def _require(obj, keys: Sequence[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise MalformedDiagram(f"{where} must be a JSON object")
@@ -98,11 +63,10 @@ def _require(obj, keys: Sequence[str], where: str) -> None:
             raise MalformedDiagram(f"{where} lacks key {k!r}")
 
 
-def _mat_parse(obj, rows: int, cols: int) -> Matrix:
-    m = [[parse_rational(x) for x in row] for row in obj]
-    if len(m) != rows or any(len(r) != cols for r in m):
-        raise ValueError(f"expected a {rows}x{cols} matrix")
-    return m
+def _dim(v, where: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise MalformedDiagram(f"{where} must be an integer, not {v!r}")
+    return v
 
 
 # -- GMV diagrams -----------------------------------------------------------------
@@ -124,11 +88,9 @@ class GmvDiagram:
             if n is None or n < 0:
                 raise ValueError(f"missing or negative phi_dim for {l}")
             ai, api = self.a.get(l), self.a_prime.get(l)
-            if ai is None or len(ai) != self.psi_dim or \
-                    any(len(r) != n for r in ai):
+            if ai is None or not has_shape(ai, self.psi_dim, n):
                 raise ValueError(f"a[{l}] must be {self.psi_dim}x{n}")
-            if api is None or len(api) != n or \
-                    any(len(r) != self.psi_dim for r in api):
+            if api is None or not has_shape(api, n, self.psi_dim):
                 raise ValueError(f"a_prime[{l}] must be {n}x{self.psi_dim}")
 
     def to_obj(self) -> dict:
@@ -136,8 +98,8 @@ class GmvDiagram:
             "points": self.config.to_obj()["points"],
             "psi_dim": self.psi_dim,
             "phi_dims": {l: self.phi_dims[l] for l in self.config.labels},
-            "a": {l: _mat_obj(self.a[l]) for l in self.config.labels},
-            "a_prime": {l: _mat_obj(self.a_prime[l]) for l in self.config.labels},
+            "a": {l: mat_to_obj(self.a[l]) for l in self.config.labels},
+            "a_prime": {l: mat_to_obj(self.a_prime[l]) for l in self.config.labels},
         }
 
     def to_json(self) -> str:
@@ -150,10 +112,13 @@ class GmvDiagram:
         config = PointConfig.from_obj({"points": obj["points"]})
         for key in ("phi_dims", "a", "a_prime"):
             _require(obj[key], config.labels, key)
-        m = int(obj["psi_dim"])
-        dims = {l: int(v) for l, v in obj["phi_dims"].items()}
-        a = {l: _mat_parse(obj["a"][l], m, dims[l]) for l in config.labels}
-        ap = {l: _mat_parse(obj["a_prime"][l], dims[l], m) for l in config.labels}
+        m = _dim(obj["psi_dim"], "psi_dim")
+        dims = {l: _dim(obj["phi_dims"][l], f"phi_dims[{l}]")
+                for l in config.labels}
+        a = {l: mat_from_obj(obj["a"][l], m, dims[l], f"a[{l}]")
+             for l in config.labels}
+        ap = {l: mat_from_obj(obj["a_prime"][l], dims[l], m, f"a_prime[{l}]")
+              for l in config.labels}
         return GmvDiagram(config, m, dims, a, ap)
 
     @staticmethod
@@ -178,8 +143,8 @@ def validate_gmv(g: GmvDiagram) -> GmvReport:
     m = g.psi_dim
     for l in g.config.labels:
         n = g.phi_dims[l]
-        psi = _one_minus(_mm(g.a[l], g.a_prime[l], m, n, m))
-        phi = _one_minus(_mm(g.a_prime[l], g.a[l], n, m, n))
+        psi = mat_sub(identity(m), mat_mul(g.a[l], g.a_prime[l], m))
+        phi = mat_sub(identity(n), mat_mul(g.a_prime[l], g.a[l], n))
         dpsi[l] = det(psi)
         dphi[l] = det(phi)
         if dpsi[l] == 0 or dphi[l] == 0:
@@ -212,7 +177,7 @@ class MatrixDiagram:
             if n is None or n < 0:
                 raise ValueError(f"missing or negative phi_dim for {l}")
             mu = self.monodromies.get(l)
-            if mu is None or len(mu) != n or any(len(r) != n for r in mu):
+            if mu is None or not has_shape(mu, n, n):
                 raise ValueError(f"monodromy at {l} must be {n}x{n}")
             if det(mu) == 0:
                 raise ValueError(f"monodromy at {l} is singular")
@@ -221,10 +186,9 @@ class MatrixDiagram:
                 if i == j:
                     continue
                 t = self.transports.setdefault((i, j),
-                                               _zeros(self.phi_dims[j],
-                                                      self.phi_dims[i]))
-                if len(t) != self.phi_dims[j] or \
-                        any(len(r) != self.phi_dims[i] for r in t):
+                                               zeros(self.phi_dims[j],
+                                                     self.phi_dims[i]))
+                if not has_shape(t, self.phi_dims[j], self.phi_dims[i]):
                     raise ValueError(f"t[{i}->{j}] must be "
                                      f"{self.phi_dims[j]}x{self.phi_dims[i]}")
 
@@ -246,10 +210,10 @@ class MatrixDiagram:
             "points": self.config.to_obj()["points"],
             "order": list(self.order),
             "phi_dims": {l: self.phi_dims[l] for l in self.config.labels},
-            "monodromies": {l: _mat_obj(self.monodromies[l])
+            "monodromies": {l: mat_to_obj(self.monodromies[l])
                             for l in self.config.labels},
             "transports": {
-                f"{i}->{j}": _mat_obj(t)
+                f"{i}->{j}": mat_to_obj(t)
                 for (i, j), t in sorted(self.transports.items())
                 if any(x != 0 for row in t for x in row)
             },
@@ -264,8 +228,10 @@ class MatrixDiagram:
         config = PointConfig.from_obj({"points": obj["points"]})
         for key in ("phi_dims", "monodromies"):
             _require(obj[key], config.labels, key)
-        dims = {l: int(v) for l, v in obj["phi_dims"].items()}
-        mono = {l: _mat_parse(obj["monodromies"][l], dims[l], dims[l])
+        dims = {l: _dim(obj["phi_dims"][l], f"phi_dims[{l}]")
+                for l in config.labels}
+        mono = {l: mat_from_obj(obj["monodromies"][l], dims[l], dims[l],
+                                f"monodromies[{l}]")
                 for l in config.labels}
         transports = obj.get("transports", {})
         _require(transports, (), "transports")
@@ -276,9 +242,12 @@ class MatrixDiagram:
                 raise MalformedDiagram(f"transport key {key!r} is not "
                                        f"'i->j' for two labels")
             i, j = ends
-            trans[(i, j)] = _mat_parse(m, dims[j], dims[i])
-        return MatrixDiagram(config, dims, mono, trans,
-                             list(obj.get("order", [])))
+            trans[(i, j)] = mat_from_obj(m, dims[j], dims[i],
+                                         f"transports[{key}]")
+        order = obj.get("order", [])
+        if not isinstance(order, list):
+            raise MalformedDiagram("order must be a list of labels")
+        return MatrixDiagram(config, dims, mono, trans, list(order))
 
     @staticmethod
     def from_json(text: str) -> "MatrixDiagram":
@@ -293,15 +262,14 @@ def gmv_to_matrix_diagram(g: GmvDiagram,
     rep = validate_gmv(g)
     if not rep.ok:
         raise InvalidGmv(f"monodromy factors are singular at: {rep.violations}")
-    m = g.psi_dim
     dims = g.phi_dims
-    mono = {l: _one_minus(_mm(g.a_prime[l], g.a[l], dims[l], m, dims[l]))
+    mono = {l: mat_sub(identity(dims[l]), mat_mul(g.a_prime[l], g.a[l], dims[l]))
             for l in g.config.labels}
     trans = {}
     for i in g.config.labels:
         for j in g.config.labels:
             if i != j:
-                trans[(i, j)] = _mm(g.a_prime[j], g.a[i], dims[j], m, dims[i])
+                trans[(i, j)] = mat_mul(g.a_prime[j], g.a[i], dims[i])
     order = list(spider_order) if spider_order is not None else list(g.config.labels)
     return MatrixDiagram(g.config, dict(dims), mono, trans, order)
 
@@ -311,28 +279,18 @@ def realize_matrix_diagram(md: MatrixDiagram) -> GmvDiagram:
     Psi the direct sum of the Phi_i."""
     labels = md.config.labels
     dims = md.phi_dims
-    m = sum(dims[l] for l in labels)
-    offset, at = {}, 0
-    for l in labels:
-        offset[l] = at
-        at += dims[l]
-    a: Dict[str, Matrix] = {}
+    offset, m = _block_layout(labels, dims)
+    psi = identity(m)
+    # a_i includes Phi_i as its block of Psi; a'_j is the row of blocks
+    # (1 - mu_j on the diagonal, t_kj elsewhere) in label order
+    a = {i: [row[offset[i]: offset[i] + dims[i]] for row in psi]
+         for i in labels}
     ap: Dict[str, Matrix] = {}
-    for i in labels:
-        n = dims[i]
-        col = _zeros(m, n)
-        for r in range(n):
-            col[offset[i] + r][r] = Fraction(1)
-        a[i] = col
     for j in labels:
-        n = dims[j]
-        row = _zeros(n, m)
-        for k in labels:
-            block = _one_minus(md.monodromies[j]) if k == j else md.t(k, j)
-            for r in range(n):
-                for c in range(dims[k]):
-                    row[r][offset[k] + c] = block[r][c]
-        ap[j] = row
+        blocks = [mat_sub(identity(dims[j]), md.monodromies[j]) if k == j
+                  else md.t(k, j) for k in labels]
+        ap[j] = [[x for blk in blocks for x in blk[r]]
+                 for r in range(dims[j])]
     return GmvDiagram(md.config, m, dict(dims), a, ap)
 
 
@@ -399,18 +357,17 @@ def transport(md: MatrixDiagram, path: PathWord) -> Matrix:
     _validate_path(md, path)
     dims = md.phi_dims
     acc: Optional[Matrix] = None
-    acc_src = path.source
     for mv in path.moves:
         k, l = mv.src, mv.dst
         step = [row[:] for row in md.t(k, l)]
         if isinstance(mv, Detour):
             p = mv.around
-            corr = _mm(md.t(p, l), md.t(k, p), dims[l], dims[p], dims[k])
-            step = _madd(step, corr, 1 if mv.side == "left" else -1)
+            corr = mat_mul(md.t(p, l), md.t(k, p), dims[k])
+            step = (mat_add if mv.side == "left" else mat_sub)(step, corr)
         if acc is None:
             acc = step
         else:
-            acc = _mm(step, acc, dims[l], dims[k], dims[acc_src])
+            acc = mat_mul(step, acc, dims[path.source])
     return acc
 
 
@@ -432,36 +389,32 @@ def braid_mutate(md: MatrixDiagram, k: int, inverse: bool = False
     nP, nQ = dims[P], dims[Q]
     others = [l for l in md.config.labels if l not in (P, Q)]
     if not inverse:
-        muP_inv = inverse_mu(md, P)
+        # the new t_PQ is also the left factor of each correction through P
+        tPQ = mat_mul(md.t(P, Q), inverse_mu(md, P), nP)
         for i in others:
-            corr = mat_chain3(md.t(P, Q), muP_inv, md.t(i, P), nQ, nP, dims[i])
-            out.transports[(i, Q)] = _madd(md.t(i, Q), corr, 1)
+            corr = mat_mul(tPQ, md.t(i, P), dims[i])
+            out.transports[(i, Q)] = mat_add(md.t(i, Q), corr)
         for j in others:
-            corr = _mm(md.t(P, j), md.t(Q, P), dims[j], nP, nQ)
-            out.transports[(Q, j)] = _madd(md.t(Q, j), corr, -1)
-        out.transports[(Q, P)] = _mm(md.monodromies[P], md.t(Q, P), nP, nP, nQ)
-        out.transports[(P, Q)] = _mm(md.t(P, Q), muP_inv, nQ, nP, nP)
+            corr = mat_mul(md.t(P, j), md.t(Q, P), nQ)
+            out.transports[(Q, j)] = mat_sub(md.t(Q, j), corr)
+        out.transports[(Q, P)] = mat_mul(md.monodromies[P], md.t(Q, P), nQ)
+        out.transports[(P, Q)] = tPQ
     else:
-        muQ_inv = inverse_mu(md, Q)
+        # the new t_PQ is also the right factor of each correction through Q
+        tPQ = mat_mul(inverse_mu(md, Q), md.t(P, Q), nP)
         for i in others:
-            corr = _mm(md.t(Q, P), md.t(i, Q), nP, nQ, dims[i])
-            out.transports[(i, P)] = _madd(md.t(i, P), corr, -1)
+            corr = mat_mul(md.t(Q, P), md.t(i, Q), dims[i])
+            out.transports[(i, P)] = mat_sub(md.t(i, P), corr)
         for j in others:
-            corr = mat_chain3(md.t(Q, j), muQ_inv, md.t(P, Q), dims[j], nQ, nP)
-            out.transports[(P, j)] = _madd(md.t(P, j), corr, 1)
-        out.transports[(P, Q)] = _mm(muQ_inv, md.t(P, Q), nQ, nQ, nP)
-        out.transports[(Q, P)] = _mm(md.t(Q, P), md.monodromies[Q], nP, nQ, nQ)
+            corr = mat_mul(md.t(Q, j), tPQ, nP)
+            out.transports[(P, j)] = mat_add(md.t(P, j), corr)
+        out.transports[(P, Q)] = tPQ
+        out.transports[(Q, P)] = mat_mul(md.t(Q, P), md.monodromies[Q], nQ)
     return out
 
 
 def inverse_mu(md: MatrixDiagram, l: str) -> Matrix:
-    n = md.phi_dims[l]
-    return inverse(md.monodromies[l]) if n else []
-
-
-def mat_chain3(a: Matrix, b: Matrix, c: Matrix, p: int, q: int, r: int) -> Matrix:
-    """a (p x q) * b (q x q) * c (q x r)."""
-    return _mm(_mm(a, b, p, q, q), c, p, q, r)
+    return inverse(md.monodromies[l])
 
 
 def braid_word(md: MatrixDiagram, word: Sequence[Tuple[int, bool]]
@@ -501,7 +454,7 @@ def total_monodromy(md: MatrixDiagram,
     # this is the composite under which braid mutations act by conjugation
     total = identity(sum(dims[l] for l in labels))
     for l in reversed(order):
-        total = _mm(local(l), total, len(total), len(total), len(total))
+        total = mat_mul(local(l), total)
     return total
 
 

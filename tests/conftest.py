@@ -1,62 +1,9 @@
-from fractions import Fraction
-from itertools import combinations
+"""Seeded random generators shared by the tests: the acceptance gate's own,
+under the names the tests use."""
 
-from air.exactgeom import Direction, PointConfig, check_genericity, cross, vsub
-from air.linalg import det
-from air.perv import MatrixDiagram
-
-
-def random_generic_config(rng, n, lo=-10, hi=10, zeta=None, prefix="w"):
-    """Distinct grid points, resampled until generic (and zeta-generic)."""
-    while True:
-        used = set()
-        items = []
-        while len(items) < n:
-            p = (rng.randint(lo, hi), rng.randint(lo, hi))
-            if p in used:
-                continue
-            used.add(p)
-            items.append((f"{prefix}{len(items) + 1}", p[0], p[1]))
-        cfg = PointConfig.of(items)
-        if check_genericity(cfg, zeta=zeta):
-            return cfg
-
-
-def random_stokes_config(rng, n, lo=-10, hi=10, prefix="w"):
-    """Generic config with no two pairwise differences parallel, so the
-    elementary-factor oracle applies at every generic zeta."""
-    while True:
-        cfg = random_generic_config(rng, n, lo=lo, hi=hi, prefix=prefix)
-        diffs = [vsub(cfg.point(b), cfg.point(a))
-                 for a, b in combinations(cfg.labels, 2)]
-        if all(cross(u, v) != 0 for u, v in combinations(diffs, 2)):
-            return cfg
-
-
-def random_generic_zeta(rng, config, lo=-9, hi=9):
-    """A direction not parallel to any difference of config points."""
-    while True:
-        z = (rng.randint(lo, hi), rng.randint(lo, hi))
-        if z != (0, 0) and check_genericity(config, zeta=z):
-            return Direction.of(z[0], z[1])
-
-
-def random_rational_matrix(rng, rows, cols, lo=-3, hi=3):
-    return [[Fraction(rng.randint(lo, hi), rng.choice([1, 1, 2, 3]))
-             for _ in range(cols)] for _ in range(rows)]
-
-
-def random_matrix_diagram(rng, config, max_dim=2, min_dim=0):
-    """Random rational transports and invertible monodromies on a config."""
-    labels = config.labels
-    dims = {l: rng.randint(min_dim, max_dim) for l in labels}
-    mono = {}
-    for l in labels:
-        while True:
-            m = random_rational_matrix(rng, dims[l], dims[l])
-            if det(m) != 0:
-                mono[l] = m
-                break
-    trans = {(i, j): random_rational_matrix(rng, dims[j], dims[i])
-             for i in labels for j in labels if i != j}
-    return MatrixDiagram(config, dims, mono, trans)
+from air.acceptance import (  # noqa: F401
+    _random_diagram as random_matrix_diagram,
+    _random_generic_config as random_generic_config,
+    _random_stokes_config as random_stokes_config,
+    _random_zeta as random_generic_zeta,
+)

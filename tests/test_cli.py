@@ -81,6 +81,31 @@ def test_bare_configuration_for_a_diagram_is_domain_error(pentagon, argv):
     assert "'phi_dims'" in payload["message"]
 
 
+@pytest.mark.parametrize("key, label, value", [
+    ("monodromies", "w1", 5),
+    ("monodromies", "w1", [5]),
+    ("transports", "w2->w1", 7),
+    ("phi_dims", "w1", [1]),
+    ("phi_dims", "w1", True),
+    ("order", None, 5),
+])
+def test_wrong_value_type_in_a_diagram_is_domain_error(md, key, label, value):
+    d, path = md
+    obj = d.to_obj()
+    if label is None:
+        obj[key] = value
+    else:
+        obj[key][label] = value
+    with open(path, "w") as f:
+        json.dump(obj, f)
+    code, out, err = invoke("stokes", "--config", path, "--zeta", "1,0")
+    assert code == 1
+    assert out == b""
+    payload = json.loads(err)
+    assert payload["error"] in ("MalformedDiagram", "MalformedMatrix")
+    assert key in payload["message"]
+
+
 def test_success_exit_zero(md):
     _, path = md
     code, _, _ = invoke("stokes", "--config", path, "--zeta", "0,1")

@@ -19,6 +19,7 @@ from air.linalg import (
     mat_sub,
     mat_to_obj,
     rank,
+    zeros,
     solve,
     transpose,
 )
@@ -124,6 +125,27 @@ def test_block_matrix_assembly_and_slicing():
     assert full == mat([[1, 0, 0], [3, 1, 0], [4, 0, 1]])
     assert block_of(full, order, dims, "u", "v") == mat([[3], [4]])
     assert block_of(full, order, dims, "v", "v") == identity(2)
+
+
+def test_block_layout_with_a_zero_dimensional_label_in_the_middle():
+    order = ["u", "z", "v"]
+    dims = {"u": 1, "z": 0, "v": 2}
+    blocks = {("u", "v"): mat([[3], [4]]), ("u", "z"): [], ("z", "v"): [[], []]}
+    full = block_matrix(order, dims, lambda s, t: blocks.get((s, t)))
+    assert full == mat([[1, 0, 0], [3, 1, 0], [4, 0, 1]])
+    assert block_of(full, order, dims, "u", "v") == mat([[3], [4]])
+    assert block_of(full, order, dims, "v", "v") == identity(2)
+    assert block_of(full, order, dims, "z", "v") == [[], []]
+    assert block_of(full, order, dims, "u", "z") == []
+    assert block_of(full, order, dims, "z", "z") == []
+
+
+def test_products_with_zero_dimensions():
+    b = mat([[1, 2, 3], [4, 5, 6]])
+    assert mat_mul([], b) == []                        # 0x2 @ 2x3
+    assert mat_mul([[], []], [], 3) == zeros(2, 3)     # 2x0 @ 0x3
+    with pytest.raises(ValueError):
+        mat_mul([[], []], [])                          # width unknown
 
 
 def test_matrix_json_obj_round_trip():

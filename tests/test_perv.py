@@ -332,6 +332,17 @@ def test_malformed_documents_name_what_is_missing():
         GmvDiagram.from_obj(g)
 
 
+def test_gmv_dimensions_must_be_integers():
+    md = random_matrix_diagram(random.Random(17), CFG3)
+    g = realize_matrix_diagram(md).to_obj()
+    for bad in ("3", True, 3.0):
+        with pytest.raises(MalformedDiagram, match="psi_dim"):
+            GmvDiagram.from_obj(dict(g, psi_dim=bad))
+    g["phi_dims"] = dict(g["phi_dims"], u=[1])
+    with pytest.raises(MalformedDiagram, match=r"phi_dims\[u\]"):
+        GmvDiagram.from_obj(g)
+
+
 @pytest.mark.parametrize("key", ["u->x", "u-v", "u->v->w"])
 def test_malformed_transport_keys_rejected(key):
     md = random_matrix_diagram(random.Random(18), CFG3).to_obj()
