@@ -22,8 +22,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .exactgeom import Direction, PointConfig, check_genericity, cross, vsub
 from .homotopy import build_ainf, build_web_cdga, check_d_squared, \
     check_stasheff
-from .infrared import _mediant, stokes_matrix, stokes_matrix_oracle, \
-    stokes_rays, is_convex_path, hull_vertex_convex_path
+from .infrared import _frame, _hull_vertex_convex_path, _is_convex_path, \
+    _mediant, stokes_matrix, stokes_matrix_oracle, stokes_rays
 from .linalg import block_of, det, identity
 from .perv import MatrixDiagram, braid_mutate, monodromy_charpoly
 from .secondary import face_factorization, lift_subdivision, \
@@ -203,10 +203,11 @@ def criterion_4(seed: int) -> CriterionResult:
         compared = 0
         for cfg in cfgs:
             zeta = _random_zeta(rng, cfg)
+            fr = _frame(cfg, zeta)  # genericity checked once per (cfg, zeta)
             for k in range(1, min(5, len(cfg.labels)) + 1):
                 for seq in itertools.permutations(cfg.labels, k):
-                    if is_convex_path(cfg, zeta, seq) != \
-                            hull_vertex_convex_path(cfg, zeta, seq):
+                    if _is_convex_path(cfg, fr, seq) != \
+                            _hull_vertex_convex_path(cfg, zeta, fr, seq):
                         return False, f"disagree on {seq} zeta={zeta}"
                     compared += 1
         return True, f"{compared} subsequences, zero disagreements"

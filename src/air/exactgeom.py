@@ -3,7 +3,10 @@
 Everything here is computed over `fractions.Fraction`; there are no floats and
 no epsilons.  All downstream combinatorics (hulls, triangulations, path
 convexity, Stokes data) reduce to the sign predicates in this module, so the
-predicates are kept deliberately small and auditable.
+predicates are kept deliberately small and auditable.  A sign is the sign of
+an integer determinant of homogeneous coordinates (x*d, y*d, d), d the
+product of the denominators, so `orient` runs on Python ints and never
+builds a Fraction; every value this module returns stays a Fraction.
 
 Conventions used throughout the package:
 
@@ -79,8 +82,22 @@ def sign(q) -> int:
 
 
 def orient(p: Point, q: Point, r: Point) -> int:
-    """Orientation of the triple: +1 counterclockwise, -1 clockwise, 0 collinear."""
-    return sign(cross(vsub(q, p), vsub(r, p)))
+    """Orientation of the triple: +1 counterclockwise, -1 clockwise, 0 collinear.
+
+    The sign of the integer determinant with rows (x*d, y*d, d), the
+    homogeneous coordinates of p, q, r with d = den(x)*den(y) > 0.  Scaling
+    a row by a positive weight keeps the sign, so this is the sign of
+    cross(q - p, r - p) for any rationals.  A float coordinate has no
+    numerator and raises AttributeError instead of rounding.
+    """
+    rows = []
+    for x, y in (p, q, r):
+        a, b = x.denominator, y.denominator
+        rows.append((x.numerator * b, y.numerator * a, a * b))
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = rows
+    det = (w1 * (x2 * y3 - x3 * y2) + w2 * (x3 * y1 - x1 * y3)
+           + w3 * (x1 * y2 - x2 * y1))
+    return sign(det)
 
 
 def rho(zeta: Vec) -> Vec:

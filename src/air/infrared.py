@@ -138,7 +138,11 @@ def is_convex_path(config: PointConfig, zeta: Direction,
                    seq: Sequence[str]) -> bool:
     """Operational predicate: strictly increasing zeta-order, forward edges,
     right turns at interior vertices."""
-    fr = _frame(config, zeta)
+    return _is_convex_path(config, _frame(config, zeta), seq)
+
+
+def _is_convex_path(config: PointConfig, fr: _Frame,
+                    seq: Sequence[str]) -> bool:
     if len(seq) == 0 or any(l not in fr.rank for l in seq):
         return False
     if any(fr.rank[a] >= fr.rank[b] for a, b in zip(seq, seq[1:])):
@@ -155,7 +159,12 @@ def hull_vertex_convex_path(config: PointConfig, zeta: Direction,
     """Definitional predicate: increasing zeta-order and every vertex extreme
     in the convex hull of the rays w_mu + R+*zeta, decided by exact
     feasibility (w is non-extreme iff it lies in conv(others) + R+*zeta)."""
-    rank = _frame(config, zeta).rank
+    return _hull_vertex_convex_path(config, zeta, _frame(config, zeta), seq)
+
+
+def _hull_vertex_convex_path(config: PointConfig, zeta: Direction,
+                             fr: _Frame, seq: Sequence[str]) -> bool:
+    rank = fr.rank
     if len(seq) == 0 or any(l not in rank for l in seq):
         return False
     if any(rank[a] >= rank[b] for a, b in zip(seq, seq[1:])):
@@ -324,16 +333,18 @@ def stokes_matrix_oracle(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
     order = _frame(config, zeta).order
     dims = md.phi_dims
     pairs = []
+    seen: Dict[Direction, Tuple[str, str]] = {}  # direction up to sign -> pair
     for a in range(len(order)):
         for b in range(a + 1, len(order)):
             i, j = order[a], order[b]
             d = vsub(config.point(j), config.point(i))
-            pairs.append((d, (i, j)))
-    for x in range(len(pairs)):
-        for y in range(x + 1, len(pairs)):
-            if cross(pairs[x][0], pairs[y][0]) == 0:
+            key = Direction.of(d[0], d[1])
+            key = max(key, key.opposite(), key=lambda k: (k.dx, k.dy))
+            if key in seen:
                 raise ParallelDifferences(
-                    f"{pairs[x][1]} and {pairs[y][1]} have parallel differences")
+                    f"{seen[key]} and {(i, j)} have parallel differences")
+            seen[key] = (i, j)
+            pairs.append((d, (i, j)))
     # all differences lie in the open halfplane ccw of zeta, so the cross
     # comparator is a strict total order by angle from zeta
     pairs.sort(key=functools.cmp_to_key(
@@ -347,9 +358,11 @@ def stokes_matrix_oracle(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
         ci, ni = offset[i], dims[i]
         cj, nj = offset[j], dims[j]
         for row in prod:
+            rj = row[cj:cj + nj]
+            if not any(rj):
+                continue
             for a in range(ni):
-                acc = sum((row[cj + b] * T[b][a] for b in range(nj)),
-                          Fraction(0))
+                acc = sum((rj[b] * T[b][a] for b in range(nj)), Fraction(0))
                 if acc:
                     row[ci + a] += acc
     blocks: Dict[Tuple[str, str], Matrix] = {}

@@ -19,7 +19,6 @@ assumption and best-effort otherwise.
 
 from __future__ import annotations
 
-import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,10 +26,12 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .exactgeom import (
+    DegenerateConfig,
     GeometryError,
     Point,
     PointConfig,
     angle_sorted,
+    check_genericity,
     convex_hull,
     normvol,
     orient,
@@ -331,18 +332,38 @@ def _neighbors(config: PointConfig, tri: Cells) -> List[Cells]:
 
 
 def _seed_triangulation(config: PointConfig) -> Cells:
-    rng = random.Random(0)
-    for _ in range(200):
-        heights = {l: Fraction(rng.randint(-10 ** 9, 10 ** 9)) for l in config.labels}
-        msub = lift_marked_subdivision(config, heights)
-        if all(len(m) == 3 for m in msub.marks):
-            return msub.cells
-    raise SubdivisionError("no generic lift found; is the configuration generic?")
+    """The placing triangulation (De Loera, Rambau and Santos, Triangulations,
+    2010, section 4.3): insert the points in lexicographic order and join
+    each new point to the hull edges it sees.  It is regular and uses every
+    point; the configuration must be generic."""
+    items = sorted((config.point(l), l) for l in config.labels)
+    if len(items) < 3:
+        raise SubdivisionError("configuration is degenerate")
+    (a, la), (b, lb), (c, lc) = items[:3]
+    hull = [la, lb, lc] if orient(a, b, c) > 0 else [la, lc, lb]  # ccw
+    cells = [normalize_cell(config, hull)]
+    for p, lp in items[3:]:
+        # p is lexicographically last so far, hence outside the hull, and the
+        # edges it sees form one chain; rotate the hull to start the chain
+        n = len(hull)
+        sees = [orient(config.point(hull[i]), config.point(hull[(i + 1) % n]),
+                       p) < 0 for i in range(n)]
+        k = next(i for i in range(n) if sees[i] and not sees[i - 1])
+        hull, sees = hull[k:] + hull[:k], sees[k:] + sees[:k]
+        m = sees.index(False)
+        cells += [normalize_cell(config, (hull[i], hull[i + 1], lp))
+                  for i in range(m)]
+        hull = [hull[0], lp] + hull[m:]
+    return tuple(sorted(cells))
 
 
 def enumerate_triangulations(config: PointConfig) -> List[Cells]:
     """All triangulations of the configuration (any subset of the points may
-    be used as vertices), by breadth-first search over bistellar moves."""
+    be used as vertices), by breadth-first search over bistellar moves from
+    the placing triangulation.  A collinear triple raises DegenerateConfig."""
+    rep = check_genericity(config)
+    if not rep:
+        raise DegenerateConfig(f"collinear points {list(rep.violations[0][1:])}")
     start = _seed_triangulation(config)
     seen = {start}
     queue = deque([start])

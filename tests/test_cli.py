@@ -106,6 +106,21 @@ def test_wrong_value_type_in_a_diagram_is_domain_error(md, key, label, value):
     assert key in payload["message"]
 
 
+@pytest.mark.parametrize("cmd", ["triangulations", "secondary"])
+def test_collinear_configuration_is_domain_error(tmp_path, cmd):
+    cfg = PointConfig.of([("a", 0, 0), ("b", 1, 0), ("c", 2, 0),
+                          ("d", 1, 2)])
+    path = tmp_path / "collinear.json"
+    path.write_text(cfg.to_json())
+    code, out, err = invoke(cmd, "--config", str(path))
+    assert code == 1
+    assert out == b""
+    assert b"Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "DegenerateConfig"
+    assert "'a', 'b', 'c'" in payload["message"]
+
+
 def test_success_exit_zero(md):
     _, path = md
     code, _, _ = invoke("stokes", "--config", path, "--zeta", "0,1")

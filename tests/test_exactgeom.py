@@ -6,6 +6,7 @@ import pytest
 from air.exactgeom import (
     Direction,
     GeometryError,
+    Point,
     PointConfig,
     angle_less,
     angle_sorted,
@@ -42,6 +43,13 @@ def test_orient_signs():
     assert orient(a, b, pt(1, 1)) == 1
     assert orient(a, b, pt(1, -1)) == -1
     assert orient(a, b, pt(7, 0)) == 0
+    assert orient(pt("1/3", "1/2"), pt("2/3", 1), pt(1, "3/2")) == 0
+    assert orient(pt("-1/3", 0), pt(0, "1/7"), pt(0, "1/6")) == 1
+
+
+def test_orient_refuses_float_coordinates():
+    with pytest.raises(AttributeError):
+        orient(pt(0, 0), pt(1, 0), Point(Fraction(1), 0.5))
 
 
 def test_rho_is_quarter_turn():

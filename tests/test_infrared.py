@@ -321,6 +321,15 @@ def test_oracle_parallel_differences():
     stokes_matrix(md, Direction.of(1, 3))
 
 
+def test_oracle_names_the_pair_a_direction_repeats():
+    square = PointConfig.of([("a", 0, 0), ("b", 1, 0), ("c", 1, 1), ("d", 0, 1)])
+    md = random_matrix_diagram(random.Random(404), square, max_dim=1, min_dim=1)
+    # zeta-order b, c, a, d: c -> d repeats the direction of b -> a
+    with pytest.raises(ParallelDifferences,
+                       match=r"\('b', 'a'\) and \('c', 'd'\)"):
+        stokes_matrix_oracle(md, Direction.of(1, 3))
+
+
 def test_path_count_matches_oracle_monomials():
     # with distinct prime scalars, each path contributes one distinct monomial
     rng = random.Random(405)

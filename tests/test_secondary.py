@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from air.exactgeom import PointConfig, normvol, convex_hull
+from air.exactgeom import DegenerateConfig, PointConfig, normvol, convex_hull
 from air.lp import LinearSystem
 from air.secondary import (
     InvalidSubdivision,
     MarkedSubdivision,
     NotFlippable,
     NotRegular,
+    _seed_triangulation,
     brute_force_triangulations,
     enumerate_subdivisions,
     enumerate_triangulations,
@@ -17,6 +18,7 @@ from air.secondary import (
     flip,
     gkz_vector,
     is_regular,
+    is_triangulation,
     lift_marked_subdivision,
     lift_subdivision,
     marked_is_regular,
@@ -167,6 +169,47 @@ def test_random_triangulations_bfs_equals_brute_force():
     for _ in range(6):
         cfg = random_generic_config(rng, rng.randint(4, 6))
         assert enumerate_triangulations(cfg) == brute_force_triangulations(cfg)
+
+
+def _parabola_config(rng, n):
+    # strictly convex position: distinct integer x on y = x^2
+    xs = rng.sample(range(-12, 13), n)
+    return PointConfig.of([(f"q{i}", x, x * x) for i, x in enumerate(xs)])
+
+
+def test_placing_seed_and_the_flip_search_from_it():
+    # n = 4..6 in convex and in general position, plus MOA
+    rng = random.Random(23)
+    cfgs = [MOA]
+    for n in (4, 5, 6):
+        cfgs += [_parabola_config(rng, n), random_generic_config(rng, n)]
+    for cfg in cfgs:
+        t = _seed_triangulation(cfg)
+        assert validate_subdivision(cfg, t) == t
+        assert is_triangulation(t)
+        assert {l for c in t for l in c} == set(cfg.labels)
+        assert is_regular(cfg, t)
+        assert enumerate_triangulations(cfg) == brute_force_triangulations(cfg)
+
+
+def test_flip_search_does_not_lift(monkeypatch):
+    import air.secondary
+
+    def refuse(*args):
+        raise AssertionError("the flip search reached _lower_faces")
+    monkeypatch.setattr(air.secondary, "_lower_faces", refuse)
+    assert len(enumerate_triangulations(MOA)) == 18
+
+
+@pytest.mark.parametrize("items, triple", [
+    ([("a", 0, 0), ("b", 1, 0), ("c", 2, 0), ("d", 1, 2)], "'a', 'b', 'c'"),
+    # collinear through the interior, away from every hull edge
+    ([("A", 0, 0), ("B", 6, 0), ("C", 0, 6), ("x", 1, 1), ("y", 2, 2)],
+     "'A', 'x', 'y'"),
+])
+def test_flip_search_rejects_a_collinear_triple(items, triple):
+    with pytest.raises(DegenerateConfig, match=triple):
+        enumerate_triangulations(PointConfig.of(items))
 
 
 def test_enumerate_subdivisions_counts():
