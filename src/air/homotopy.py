@@ -16,8 +16,9 @@ Koszul rule in sorted-generator order.  d^2 = 0 is checked, never assumed.
 The A-infinity algebra R has one basis element per infinite polygon: a chain
 of configuration points, strictly increasing in the eta-order and turning
 right at every interior point, closed off by two rays to infinity in the
-direction eta.  Infinity is modeled as a far rational point M*eta whose
-combinatorics must be stable under doubling M.  m2 glues two polygons sharing
+direction eta.  Infinity is modeled as a far rational point M*eta, with M at
+an exact bound past which every orientation that involves the far point has
+its M -> infinity sign (see _far_bound).  m2 glues two polygons sharing
 a ray and its sign is the incidence coefficient of the corresponding facet of
 the glued polygon's secondary polytope; all higher products vanish (gluings of
 three or more cells sit in codimension >= 2), which the Stasheff checker
@@ -26,22 +27,20 @@ verifies rather than trusts.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactgeom import (
     DegenerateConfig,
     Direction,
     Point,
     PointConfig,
-    check_genericity,
     cross,
-    convex_hull,
-    point_in_convex_polygon,
+    dot,
     pt,
+    rho,
     vsub,
 )
 from .infrared import NonGenericZeta, _frame, _right_turn_chains
@@ -139,6 +138,24 @@ def _incidence_sign(face: _FaceData, facet: _FaceData) -> int:
     return _det_sign_of_columns(cols)
 
 
+class _LatticeData(NamedTuple):
+    faces: List[_FaceData]                # in lattice order
+    facets: List[List[Tuple[int, int]]]   # per face: (facet position, sign)
+    top: int                              # position of the top face
+
+
+def _lattice_face_data(lattice: FaceLattice) -> _LatticeData:
+    """Face data and signed facets of a lattice, faces found by vertex tuple.
+    A facet that does not drop the dimension by one raises SignInconsistency."""
+    data = [_face_data(f.vertices, lattice.gkz_vectors) for f in lattice.faces]
+    index = {f.vertices: i for i, f in enumerate(lattice.faces)}
+    facets = []
+    for face, fdata in zip(lattice.faces, data):
+        ids = [index[g.vertices] for g in lattice.facets_of(face)]
+        facets.append([(j, _incidence_sign(fdata, data[j])) for j in ids])
+    return _LatticeData(data, facets, index[lattice.top().vertices])
+
+
 # -- polyhedral chain complexes -------------------------------------------------
 
 
@@ -166,7 +183,7 @@ def polyhedral_chain_complex(source) -> ChainComplex:
             raise FaceLatticeUnavailable(str(exc)) from exc
     else:
         raise TypeError("expected a PointConfig or FaceLattice")
-    data = [_face_data(f.vertices, lattice.gkz_vectors) for f in lattice.faces]
+    data, facets, _ = _lattice_face_data(lattice)
     generators = [(i, d.dim) for i, d in enumerate(data)]
     top_dim = max(d.dim for d in data)
     pos_in_degree: Dict[int, Dict[int, int]] = {}
@@ -174,18 +191,13 @@ def polyhedral_chain_complex(source) -> ChainComplex:
         ids = [i for i, d in enumerate(data) if d.dim == k]
         pos_in_degree[k] = {gid: r for r, gid in enumerate(ids)}
     boundary: Dict[int, Matrix] = {}
-    vertex_set = {i: set(d.vertices) for i, d in enumerate(data)}
     for k in range(1, top_dim + 1):
         rows = pos_in_degree[k - 1]
         cols = pos_in_degree[k]
         mat = zeros(len(rows), len(cols))
         for gid, c in cols.items():
-            face = lattice.faces[gid]
-            for facet in lattice.facets_of(face):
-                fid = lattice.faces.index(facet)
-                if data[fid].dim != k - 1:
-                    raise SignInconsistency("facet does not drop dimension by 1")
-                mat[rows[fid]][c] = Fraction(_incidence_sign(data[gid], data[fid]))
+            for fid, eps in facets[gid]:
+                mat[rows[fid]][c] = Fraction(eps)
         boundary[k] = mat
     for k in range(2, top_dim + 1):
         sq = mat_mul(boundary[k - 1], boundary[k])
@@ -323,21 +335,15 @@ class WebCdga:
         }
 
 
-def _lattice_face_data(lattice: FaceLattice) -> List[_FaceData]:
-    return [_face_data(f.vertices, lattice.gkz_vectors) for f in lattice.faces]
-
-
 def build_web_cdga(config: PointConfig) -> WebCdga:
     """Assemble generators over every sub-configuration and the factorization
     differential; raises SignInconsistency unless d^2 = 0 exactly."""
     if len(config) > 6:
         raise FaceLatticeUnavailable("web CDGA needs face lattices (at most 6 points)")
-    if not check_genericity(config):
-        raise DegenerateConfig("configuration has three collinear points")
 
     labels = config.labels
     lattices: Dict[Tuple[str, ...], FaceLattice] = {}
-    face_data: Dict[Tuple[str, ...], List[_FaceData]] = {}
+    face_data: Dict[Tuple[str, ...], _LatticeData] = {}
     generators: List[WebGenerator] = []
     gid_of: Dict[Tuple[Tuple[str, ...], Optional[int]], int] = {}
 
@@ -356,15 +362,13 @@ def build_web_cdga(config: PointConfig) -> WebCdga:
             lattice = secondary_face_lattice(config.subconfig(sub))
             lattices[sub] = lattice
             face_data[sub] = _lattice_face_data(lattice)
-            top = lattice.top()
             for idx, f in enumerate(lattice.faces):
-                add_gen(sub, idx, f.dim, f is top)
+                add_gen(sub, idx, f.dim, idx == face_data[sub].top)
 
     def top_gid(sub: Tuple[str, ...]) -> int:
         if len(sub) == 2:
             return gid_of[(sub, None)]
-        lattice = lattices[sub]
-        return gid_of[(sub, lattice.faces.index(lattice.top()))]
+        return gid_of[(sub, face_data[sub].top)]
 
     degree = {g.gid: g.degree for g in generators}
     differential: Dict[int, Element] = {}
@@ -374,18 +378,14 @@ def build_web_cdga(config: PointConfig) -> WebCdga:
             continue
         lattice = lattices[g.labels]
         data = face_data[g.labels]
-        face = lattice.faces[g.face_index]
-        fdata = data[g.face_index]
         elem: Element = {}
-        for facet in lattice.facets_of(face):
-            fidx = lattice.faces.index(facet)
-            eps = _incidence_sign(fdata, data[fidx])
+        for fidx, eps in data.facets[g.face_index]:
             if not g.is_top:
                 elem = el_add(elem, {(gid_of[(g.labels, fidx)],): Fraction(eps)})
                 continue
-            kappa, mono = _factorized_facet(g.labels, facet, data[fidx],
-                                            lattices, face_data, gid_of,
-                                            top_gid, degree)
+            kappa, mono = _factorized_facet(g.labels, lattice.faces[fidx],
+                                            data.faces[fidx], face_data,
+                                            top_gid)
             elem = el_add(elem, {mono: Fraction(eps * kappa)})
         differential[g.gid] = elem
 
@@ -398,7 +398,7 @@ def build_web_cdga(config: PointConfig) -> WebCdga:
 
 
 def _factorized_facet(sub: Tuple[str, ...], facet, facet_data: _FaceData,
-                      lattices, face_data, gid_of, top_gid, degree
+                      face_data, top_gid
                       ) -> Tuple[int, Tuple[int, ...]]:
     """Rewrite a facet (a coarse marked subdivision) as +-(product of the top
     generators of its cells' mark sets), with the orientation-comparison sign."""
@@ -413,8 +413,7 @@ def _factorized_facet(sub: Tuple[str, ...], facet, facet_data: _FaceData,
         f = factors[i]
         if len(f) == 2:
             continue  # a pair's polytope is a point
-        lattice = lattices[f]
-        fdata = face_data[f][lattice.faces.index(lattice.top())]
+        fdata = face_data[f].faces[face_data[f].top]
         for b in fdata.basis:
             ext = [Fraction(0)] * len(sub)
             for l, x in zip(f, b):
@@ -464,18 +463,37 @@ def _far_point(eta: Direction, M: Fraction) -> Point:
     return pt(M * eta.dx, M * eta.dy)
 
 
+def _far_bound(config: PointConfig, eta: Direction) -> Fraction:
+    """A bound past which config + {M*eta} has its M -> infinity combinatorics.
+
+    orient(a, b, M*eta) is the sign of M*cross(b-a, eta) - cross(b-a, a), so it
+    keeps its limit sign once M exceeds every |cross(b-a, a)| / |cross(b-a, eta)|
+    (when cross(b-a, eta) = 0 it does not depend on M).  And since
+    |eta|_1 >= 1, M*eta then lies outside the L1 ball around the
+    configuration: it meets no point, lies outside the hull and has a fixed
+    lexicographic place.  So for every M at or above the bound the chirotope,
+    the triangulations and the canonical cells are the limit ones, on every
+    sub-configuration too.
+    """
+    pts = list(config.coords.values())
+    v = eta.vec()
+    radius = max((abs(p.x) + abs(p.y) for p in pts), default=0)
+    ratio = max((abs(cross(vsub(b, a), a)) / abs(c)
+                 for a, b in combinations(pts, 2)
+                 if (c := cross(vsub(b, a), v)) != 0), default=0)
+    return Fraction(1 + radius + ratio)
+
+
 def _extended_at(config: PointConfig, eta: Direction, M: Fraction
-                 ) -> Optional[List[ExtendedTriangulation]]:
-    """Extended triangulations at a specific M; None when this M is unusable."""
+                 ) -> List[ExtendedTriangulation]:
+    """Extended triangulations with the far point at M*eta, M >= _far_bound."""
     p = _far_point(eta, M)
-    if p in set(config.coords.values()):
-        return None
-    hull_pts = [config.point(l) for l in convex_hull(config)]
-    if len(hull_pts) >= 3 and point_in_convex_polygon(p, hull_pts) > 0:
-        raise UnstableM("far point lies inside the hull; M is too small")
     ext = config.with_point(INF, p)
-    if not check_genericity(ext):
-        return None
+    r = rho(eta.vec())
+
+    def height(cell: Cell) -> Fraction:  # <a + b, rho(eta)>
+        return dot(ext.point(cell[1]), r) + dot(ext.point(cell[2]), r)
+
     out = []
     for tri in enumerate_triangulations(ext):
         inf_cells = []
@@ -488,50 +506,28 @@ def _extended_at(config: PointConfig, eta: Direction, M: Fraction
                 inf_cells.append((INF, a, b))
             else:
                 fin_cells.append(c)
-        # anticlockwise around the far point: by angle of the edge midpoint
-        def mid_vec(cell):
-            pa, pb = ext.point(cell[1]), ext.point(cell[2])
-            return ((pa.x + pb.x) / 2 - p.x, (pa.y + pb.y) / 2 - p.y)
-        inf_cells.sort(key=functools.cmp_to_key(
-            lambda c1, c2: -1 if cross(mid_vec(c1), mid_vec(c2)) > 0 else 1))
+        # anticlockwise around the far point is decreasing height as M -> oo
+        inf_cells.sort(key=height, reverse=True)
         out.append(ExtendedTriangulation(tri, tuple(inf_cells),
                                          tuple(fin_cells), eta, M))
     out.sort(key=lambda e: e.key())
     return out
 
 
-def auto_far_bound(config: PointConfig) -> Fraction:
-    m = max(abs(p.x) + abs(p.y) for p in config.coords.values())
-    return 4 * (m + 1)
-
-
 def extended_triangulations(config: PointConfig, eta: Direction,
                             M="auto") -> List[ExtendedTriangulation]:
     """Triangulations of the configuration together with a far point M*eta.
 
-    With M="auto" the bound is grown until doubling M leaves the combinatorics
-    unchanged; an explicit M is verified against 2M and rejected if unstable.
+    The far point stands for the vacuum at infinity in the direction eta.
+    M="auto" places it at _far_bound, past which the triangulations are the
+    M -> infinity ones; an explicit M below that bound raises UnstableM.  A
+    collinear triple, the far point included, raises DegenerateConfig.
     """
-    if not check_genericity(config):
-        raise DegenerateConfig("configuration has three collinear points")
-    if M == "auto":
-        m = auto_far_bound(config)
-        for _ in range(40):
-            first = _extended_at(config, eta, m)
-            second = _extended_at(config, eta, 2 * m)
-            if first is not None and second is not None and \
-                    [e.key() for e in first] == [e.key() for e in second]:
-                return first
-            m *= 2
-        raise UnstableM("no stable far-point bound found")
-    m = Fraction(M)
-    first = _extended_at(config, eta, m)
-    if first is None:
-        raise DegenerateConfig("far point is degenerate for the configuration")
-    second = _extended_at(config, eta, 2 * m)
-    if second is None or [e.key() for e in first] != [e.key() for e in second]:
-        raise UnstableM(f"combinatorics changes between M={m} and M={2 * m}")
-    return first
+    bound = _far_bound(config, eta)
+    m = bound if M == "auto" else Fraction(M)
+    if m < bound:
+        raise UnstableM(f"M={m} is below the far-point bound {bound}")
+    return _extended_at(config, eta, m)
 
 
 # -- the algebra of infinite polygons ---------------------------------------------
@@ -620,12 +616,9 @@ def _glued_face_sign(config: PointConfig, eta: Direction, M: Fraction,
 
 def build_ainf(config: PointConfig, eta: Direction, K_max: int = 4) -> AInfAlgebra:
     """The algebra of infinite polygons in direction eta."""
-    if not check_genericity(config):
-        raise DegenerateConfig("configuration has three collinear points")
     basis = convex_chains(config, eta)
     idx = {ch: i for i, ch in enumerate(basis)}
-    ext = extended_triangulations(config, eta, M="auto")
-    M = ext[0].M if ext else auto_far_bound(config)
+    M = _far_bound(config, eta)
 
     def m2_at(m: Fraction) -> Dict[Tuple[int, int], Tuple[int, Fraction]]:
         table: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
@@ -643,7 +636,8 @@ def build_ainf(config: PointConfig, eta: Direction, K_max: int = 4) -> AInfAlgeb
         return table
 
     m2 = m2_at(M)
-    if m2 != m2_at(2 * M):  # structure constants must be M-independent
+    # the bound fixes the combinatorics, not the signs of the GKZ volumes
+    if m2 != m2_at(2 * M):
         raise UnstableM("structure constants change under doubling M")
     return AInfAlgebra(config, eta, basis, [len(c) - 2 for c in basis],
                        m2, K_max, M)

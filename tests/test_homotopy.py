@@ -7,13 +7,17 @@ from itertools import combinations
 
 import pytest
 
-from air.exactgeom import Direction, PointConfig, check_genericity
+from air.exactgeom import Direction, PointConfig, check_genericity, cross, \
+    orient, sign, vsub
 from air.homotopy import (
     AInfAlgebra,
     DegenerateConfig,
     FaceLatticeUnavailable,
     INF,
     UnstableM,
+    _extended_at,
+    _far_bound,
+    _far_point,
     build_ainf,
     build_web_cdga,
     check_d_squared,
@@ -235,6 +239,57 @@ def test_extended_rejects_collinear_config():
             PointConfig.of([("a", 0, 0), ("b", 1, 1), ("c", 2, 2)]), UP)
 
 
+# Web seed 9090, index 27: w4, w5 and M*eta are collinear at M = 354, and
+# the extended triangulations at M = 152 and 304 differ from those at every
+# M >= 392 = _far_bound.
+W9090_27 = PointConfig.of([("w1", -12, 3), ("w2", 6, -5), ("w3", 11, 12),
+                           ("w4", 16, -2), ("w5", 17, 20)])
+DOWN = Direction.of(0, -3)
+
+
+def _ext_parts(ext):
+    return [(e.cells, e.infinite, e.finite) for e in ext]
+
+
+def test_extended_triangulations_are_the_limit_ones():
+    bound = _far_bound(W9090_27, DOWN)
+    assert bound == 392
+    far = _extended_at(W9090_27, DOWN, 1000 * bound)
+    assert _ext_parts(extended_triangulations(W9090_27, DOWN)) == _ext_parts(far)
+
+
+def test_explicit_M_below_the_far_bound_is_unstable():
+    with pytest.raises(UnstableM):
+        extended_triangulations(W9090_27, DOWN, M=152)
+
+
+def test_far_bound_gives_every_far_orientation_its_limit_sign():
+    rng = random.Random(31)
+    for _ in range(30):
+        cfg = random_generic_config(rng, rng.randint(2, 6))
+        eta = Direction.of(rng.randint(-9, 9) or 1, rng.randint(-9, 9))
+        bound = _far_bound(cfg, eta)
+        p = _far_point(eta, bound)
+        for a, b in combinations(cfg.coords.values(), 2):
+            limit = sign(cross(vsub(b, a), eta.vec()))
+            if limit:
+                assert orient(a, b, p) == limit
+        ext = extended_triangulations(cfg, eta)
+        far = _extended_at(cfg, eta, 1000 * bound)
+        assert _ext_parts(ext) == _ext_parts(far)
+
+
+def test_far_point_errors_are_typed():
+    # a, b and the far point are collinear at every M
+    line = PointConfig.of([("a", 0, 1), ("b", 0, 2), ("c", 1, 0)])
+    with pytest.raises(DegenerateConfig, match=r"\['a', 'b', '∞'\]"):
+        extended_triangulations(line, UP)
+    for pts in ([], [("a", 0, 0)]):
+        alg = build_ainf(PointConfig.of(pts), UP)
+        assert alg.basis == [] and alg.m2 == {}
+        assert check_stasheff(alg).ok
+
+
 # -- convex chains and the algebra of infinite polygons ---------------------------
 
 def test_convex_chains_on_an_arc_are_all_subsequences():
@@ -250,6 +305,11 @@ def test_convex_chains_reject_a_tied_eta():
     arc = PointConfig.of([("a", 3, 0), ("b", 1, -2), ("c", -1, -2), ("d", -3, 0)])
     with pytest.raises(DegenerateConfig):
         convex_chains(arc, Direction.of(1, 0))  # b, c tie under rho(eta)
+
+
+def test_ainf_rejects_collinear_config():
+    with pytest.raises(DegenerateConfig):
+        build_ainf(PointConfig.of([("a", 0, 0), ("b", 1, 1), ("c", 2, 2)]), UP)
 
 
 def test_two_point_algebra_is_trivial():
