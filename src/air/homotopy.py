@@ -575,38 +575,46 @@ class AInfAlgebra:
         }
 
 
-def _glued_face_sign(config: PointConfig, eta: Direction, M: Fraction,
-                     chain: Tuple[str, ...], cut: int) -> Fraction:
-    """Coefficient of (left piece, right piece) in the boundary of the glued
-    infinite polygon, computed in the secondary polytope of the far-point
-    model of the polygon."""
-    p = _far_point(eta, M)
-    poly_cfg = config.subconfig(chain).with_point(INF, p, front=True)
+class _FarPolygon(NamedTuple):
+    config: PointConfig               # the far point first, then configuration order
+    triangulations: List[Cells]
+    gkz: List[Tuple[Fraction, ...]]   # aligned with the triangulations
+    top: _FaceData                    # the whole secondary polytope
+
+
+def _far_polygon(config: PointConfig, eta: Direction, M: Fraction,
+                 chain: Tuple[str, ...]) -> _FarPolygon:
+    """The far-point model of the infinite polygon on a chain, with the GKZ
+    vectors of its triangulations and its secondary polytope's face data."""
+    poly_cfg = config.subconfig(chain).with_point(INF, _far_point(eta, M),
+                                                   front=True)
+    normalize_cell(poly_cfg, poly_cfg.labels)  # must be strictly convex
     tris = enumerate_triangulations(poly_cfg)
     gkz = [gkz_vector(poly_cfg, t) for t in tris]
-    top = _face_data(range(len(tris)), gkz)
-    left = (INF,) + chain[:cut + 1]
-    right = (INF,) + chain[cut:]
-    normalize_cell(poly_cfg, left)   # both pieces must be strictly convex
-    normalize_cell(poly_cfg, right)
-    marks = [frozenset(left), frozenset(right)]
-    facet_ids = [i for i, t in enumerate(tris)
+    return _FarPolygon(poly_cfg, tris, gkz, _face_data(range(len(tris)), gkz))
+
+
+def _glued_face_sign(glued: _FarPolygon, left: _FarPolygon,
+                     right: _FarPolygon) -> Fraction:
+    """Coefficient of (left piece, right piece) in the boundary of the glued
+    infinite polygon, computed in the secondary polytope of its far-point
+    model.  The pieces are the polygons of the two halves of the chain cut at
+    a shared point."""
+    cfg = glued.config
+    marks = [frozenset(left.config.labels), frozenset(right.config.labels)]
+    facet_ids = [i for i, t in enumerate(glued.triangulations)
                  if all(any(set(c) <= m for m in marks) for c in t)]
-    facet = _face_data(facet_ids, gkz)
-    if facet.dim != top.dim - 1:
+    facet = _face_data(facet_ids, glued.gkz)
+    if facet.dim != glued.top.dim - 1:
         raise SignInconsistency("splitting is not a facet of the glued polygon")
-    eps = _incidence_sign(top, facet)
+    eps = _incidence_sign(glued.top, facet)
     # factor bases in operadic order (left piece first), zero-extended
-    index = {l: i for i, l in enumerate(poly_cfg.labels)}
+    index = {l: i for i, l in enumerate(cfg.labels)}
     cols: List[List[Fraction]] = []
     for piece in (left, right):
-        piece_cfg = poly_cfg.subconfig(piece)
-        ptris = enumerate_triangulations(piece_cfg)
-        pgkz = [gkz_vector(piece_cfg, t) for t in ptris]
-        pdata = _face_data(range(len(ptris)), pgkz)
-        for b in pdata.basis:
-            ext = [Fraction(0)] * len(poly_cfg.labels)
-            for l, x in zip(piece_cfg.labels, b):
+        for b in piece.top.basis:
+            ext = [Fraction(0)] * len(cfg.labels)
+            for l, x in zip(piece.config.labels, b):
                 ext[index[l]] = x
             cols.append(_coords_in(facet.basis, tuple(ext)))
     if len(cols) != facet.dim:
@@ -621,18 +629,15 @@ def build_ainf(config: PointConfig, eta: Direction, K_max: int = 4) -> AInfAlgeb
     M = _far_bound(config, eta)
 
     def m2_at(m: Fraction) -> Dict[Tuple[int, int], Tuple[int, Fraction]]:
+        polys = [_far_polygon(config, eta, m, chain) for chain in basis]
         table: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
-        for chain in basis:
-            if len(chain) < 3:
-                continue
-            k = idx[chain]
+        for k, chain in enumerate(basis):
             for cut in range(1, len(chain) - 1):
-                left, right = chain[:cut + 1], chain[cut:]
-                i, j = idx.get(left), idx.get(right)
+                i, j = idx.get(chain[:cut + 1]), idx.get(chain[cut:])
                 if i is None or j is None:
                     continue
-                coeff = _glued_face_sign(config, eta, m, chain, cut)
-                table[(i, j)] = (k, coeff)
+                table[(i, j)] = (k, _glued_face_sign(polys[k], polys[i],
+                                                     polys[j]))
         return table
 
     m2 = m2_at(M)

@@ -2,11 +2,13 @@
 
 Fourier-Motzkin elimination over Fraction.  Unlike floating-point LP this
 decides *strict* inequalities exactly, which is what regularity of a
-subdivision needs: the defining system mixes equalities (points on a cell's
-lifted plane) with strict inequalities (everything else lies strictly above).
+subdivision needs: its local system mixes equalities (marks on a cell's
+lifted plane) with strict folds across interior edges and rows that keep the
+unused points above their cells (see secondary.py).
 
-Systems here are tiny (one variable per point of a planar configuration), so
-the doubly exponential worst case of the method is irrelevant.
+Systems here are tiny: one variable per point of a planar configuration, and
+about one row per edge and per point, so the doubly exponential worst case of
+the method is irrelevant.
 """
 
 from __future__ import annotations

@@ -8,9 +8,22 @@ distinction matters (faces of the secondary polytope) a cell additionally
 carries its set of *marked* points: the points lying on the cell's lifted
 plane, vertices included.
 
-Regularity is decided exactly: the defining height system (equalities on each
-cell's plane, strict inequalities elsewhere) goes to the Fourier-Motzkin
-solver, and the witness heights it returns reproduce the subdivision on lift.
+Regularity is decided exactly from local rows (De Loera, Rambau and Santos,
+Triangulations, 2010, ch. 2 and 5).  Heights h give each cell the plane
+through its lifted first three vertices; the rows ask for
+- every mark of a cell on the cell's plane (equalities),
+- a strict fold across every interior edge: a vertex of the cell on the far
+  side lies strictly above this cell's plane,
+- every point that is no cell's vertex above the plane of the cell that
+  contains it: strictly for marked subdivisions, where an unmarked point must
+  leave the plane, and non-strictly for plain ones.
+These suffice.  The lift is then continuous and piecewise linear over the
+hull, and convex across every edge; such a function on a convex domain is
+convex, and with strict folds every plane lies strictly below the lift off
+its own cell.  So each point lies strictly above the plane of every cell
+that does not contain it, which is the global cells x points system.  The
+rows go to the Fourier-Motzkin solver, and the witness heights it returns
+reproduce the subdivision on lift.
 
 The standing assumption throughout is a generic configuration (no three points
 collinear, see exactgeom.check_genericity); validation is complete under that
@@ -189,49 +202,69 @@ class RegularityWitness:
         return self.regular
 
 
-def _add_cell_constraints(sys: LinearSystem, config: PointConfig, cell: Cell,
-                          on_plane: FrozenSet[str], index: Dict[str, int],
-                          strict_inside: bool) -> None:
-    base = cell[:3]
-    pts = [config.point(l) for l in base]
-    m = [[pts[0].x, pts[1].x, pts[2].x],
-         [pts[0].y, pts[1].y, pts[2].y],
-         [Fraction(1)] * 3]
-    poly = cell_points(config, cell)
+def _regular_heights(config: PointConfig, cells: Cells,
+                     marks: Sequence[FrozenSet[str]],
+                     strict_inside: bool) -> Optional[Dict[str, Fraction]]:
+    """Witness heights for the canonical cells with their mark sets, from the
+    local rows of the module docstring, or None if there are none.
+
+    For a cell with ccw base (a, b, c) and D = cross(b - a, c - a) > 0, the
+    row of a point s is D * (plane(s) - h_s); s lies on or above the cell's
+    plane when the row is 0 or negative.  A point on the shared edge of two
+    cells (possible only off the generic case) gets a row from each cell
+    that does not mark it.
+    """
+    index = {l: i for i, l in enumerate(config.labels)}
+    coords = config.coords
+    sys = LinearSystem(len(index))
+
+    def row(cell: Cell, s: str) -> List[Fraction]:
+        (ax, ay), (bx, by), (cx, cy) = (coords[l] for l in cell[:3])
+        sx, sy = coords[s]
+        r = [Fraction(0)] * len(index)
+        r[index[cell[0]]] = (bx - sx) * (cy - sy) - (by - sy) * (cx - sx)
+        r[index[cell[1]]] = (cx - sx) * (ay - sy) - (cy - sy) * (ax - sx)
+        r[index[cell[2]]] = (ax - sx) * (by - sy) - (ay - sy) * (bx - sx)
+        r[index[s]] = -((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+        return r
+
+    owner: Dict[Tuple[str, str], Cell] = {}
+    for cell, mk in zip(cells, marks):
+        for s in sorted(mk.difference(cell[:3]), key=index.__getitem__):
+            sys.add_eq(row(cell, s), 0)
+        for i in range(len(cell)):
+            owner[(cell[i], cell[(i + 1) % len(cell)])] = cell
+    for (a, b), cell in owner.items():
+        other = owner.get((b, a))
+        if other is not None and a < b:
+            # cells are strictly convex, so no other vertex lies on line ab
+            v = next(l for l in other if l != a and l != b)
+            sys.add_lt(row(cell, v), 0)
+    used = {l for cell in cells for l in cell}
     for s in config.labels:
-        if s in base:
+        if s in used:
             continue
-        p = config.point(s)
-        lam = solve(m, [p.x, p.y, Fraction(1)])
-        # row encodes plane(s) - h_s; the point lies above its cell plane
-        # when the row value is <= 0 (or == 0 for points on the plane)
-        row = [Fraction(0)] * len(index)
-        for l, coeff in zip(base, lam):
-            row[index[l]] += coeff
-        row[index[s]] -= 1
-        if s in on_plane:
-            sys.add_eq(row, 0)
-        elif point_in_convex_polygon(p, poly) > 0:
-            if strict_inside:
-                sys.add_lt(row, 0)
-            else:
-                sys.add_le(row, 0)
-        else:
-            sys.add_lt(row, 0)
+        for cell, mk in zip(cells, marks):
+            where = point_in_convex_polygon(coords[s], cell_points(config, cell))
+            if where and s not in mk:
+                if strict_inside:
+                    sys.add_lt(row(cell, s), 0)
+                else:
+                    sys.add_le(row(cell, s), 0)
+            if where == 2:
+                break
+    x = sys.feasible_point()
+    if x is None:
+        return None
+    return {l: x[index[l]] for l in config.labels}
 
 
 def is_regular(config: PointConfig, cells: Iterable[Iterable[str]]) -> RegularityWitness:
     """Decide regularity of a subdivision; the witness heights lift back to it."""
     norm = validate_subdivision(config, cells)
-    index = {l: i for i, l in enumerate(config.labels)}
-    sys = LinearSystem(len(index))
-    for cell in norm:
-        _add_cell_constraints(sys, config, cell, frozenset(cell), index,
-                              strict_inside=False)
-    x = sys.feasible_point()
-    if x is None:
-        return RegularityWitness(False, None)
-    return RegularityWitness(True, {l: x[index[l]] for l in config.labels})
+    heights = _regular_heights(config, norm, [frozenset(c) for c in norm],
+                               strict_inside=False)
+    return RegularityWitness(heights is not None, heights)
 
 
 def marked_is_regular(config: PointConfig, msub: MarkedSubdivision) -> RegularityWitness:
@@ -240,20 +273,22 @@ def marked_is_regular(config: PointConfig, msub: MarkedSubdivision) -> Regularit
     norm = validate_subdivision(config, msub.cells)
     if norm != msub.cells:
         raise InvalidSubdivision("marked subdivision is not in canonical form")
-    index = {l: i for i, l in enumerate(config.labels)}
-    sys = LinearSystem(len(index))
-    for cell, marks in zip(msub.cells, msub.mark_sets()):
-        if not marks.issuperset(cell):
+    marks = msub.mark_sets()
+    if len(marks) != len(norm):
+        raise InvalidSubdivision(f"{len(marks)} mark sets for {len(norm)} cells")
+    for cell, mk in zip(norm, marks):
+        unknown = mk.difference(config.coords)
+        if unknown:
+            raise InvalidSubdivision(f"marks of cell {cell} name unknown labels "
+                                     f"{sorted(unknown)}")
+        if not mk.issuperset(cell):
             raise InvalidSubdivision(f"marks of cell {cell} omit a vertex")
         poly = cell_points(config, cell)
-        for s in marks - set(cell):
+        for s in mk.difference(cell):
             if point_in_convex_polygon(config.point(s), poly) == 0:
                 raise InvalidSubdivision(f"marked point {s} lies outside cell {cell}")
-        _add_cell_constraints(sys, config, cell, marks, index, strict_inside=True)
-    x = sys.feasible_point()
-    if x is None:
-        return RegularityWitness(False, None)
-    return RegularityWitness(True, {l: x[index[l]] for l in config.labels})
+    heights = _regular_heights(config, norm, marks, strict_inside=True)
+    return RegularityWitness(heights is not None, heights)
 
 
 # -- flips --------------------------------------------------------------------
@@ -280,6 +315,8 @@ def flip(config: PointConfig, cells: Iterable[Iterable[str]], edge: Sequence[str
     tri = validate_subdivision(config, cells)
     if not is_triangulation(tri):
         raise NotFlippable("flips operate on triangulations")
+    if len(edge) != 2:
+        raise NotFlippable(f"an edge has two labels, got {list(edge)}")
     a, b = edge
     for l in (a, b):
         if l not in config.coords:
@@ -357,23 +394,32 @@ def _seed_triangulation(config: PointConfig) -> Cells:
     return tuple(sorted(cells))
 
 
-def enumerate_triangulations(config: PointConfig) -> List[Cells]:
-    """All triangulations of the configuration (any subset of the points may
-    be used as vertices), by breadth-first search over bistellar moves from
-    the placing triangulation.  A collinear triple raises DegenerateConfig."""
+def _flip_graph(config: PointConfig) -> Dict[Cells, List[Cells]]:
+    """Every triangulation with its bistellar neighbours, by breadth-first
+    search from the placing triangulation.  A collinear triple raises
+    DegenerateConfig."""
     rep = check_genericity(config)
     if not rep:
         raise DegenerateConfig(f"collinear points {list(rep.violations[0][1:])}")
     start = _seed_triangulation(config)
+    graph: Dict[Cells, List[Cells]] = {}
     seen = {start}
     queue = deque([start])
     while queue:
         t = queue.popleft()
-        for nb in _neighbors(config, t):
+        graph[t] = _neighbors(config, t)
+        for nb in graph[t]:
             if nb not in seen:
                 seen.add(nb)
                 queue.append(nb)
-    return sorted(seen)
+    return graph
+
+
+def enumerate_triangulations(config: PointConfig) -> List[Cells]:
+    """All triangulations of the configuration (any subset of the points may
+    be used as vertices), by breadth-first search over bistellar moves from
+    the placing triangulation.  A collinear triple raises DegenerateConfig."""
+    return sorted(_flip_graph(config))
 
 
 def brute_force_triangulations(config: PointConfig) -> List[Cells]:
@@ -437,8 +483,14 @@ def _triangulations_using_all(config: PointConfig, hull: List[str],
     return out
 
 
+def _is_regular_triangulation(config: PointConfig, tri: Cells) -> bool:
+    return _regular_heights(config, tri, [frozenset(c) for c in tri],
+                            strict_inside=False) is not None
+
+
 def regular_triangulations(config: PointConfig) -> List[Cells]:
-    return [t for t in enumerate_triangulations(config) if is_regular(config, t)]
+    return [t for t in enumerate_triangulations(config)
+            if _is_regular_triangulation(config, t)]
 
 
 # -- GKZ vectors and the secondary polytope ------------------------------------
@@ -472,13 +524,14 @@ class SecondaryPolytope:
 
 
 def secondary_polytope(config: PointConfig) -> SecondaryPolytope:
-    tris = enumerate_triangulations(config)
-    regular = [t for t in tris if is_regular(config, t)]
+    graph = _flip_graph(config)
+    tris = sorted(graph)
+    regular = [t for t in tris if _is_regular_triangulation(config, t)]
     gkz = [gkz_vector(config, t) for t in regular]
     pos = {t: i for i, t in enumerate(regular)}
     edges = set()
     for i, t in enumerate(regular):
-        for nb in _neighbors(config, t):
+        for nb in graph[t]:
             j = pos.get(nb)
             if j is not None and i < j:
                 edges.add((i, j))
@@ -663,9 +716,9 @@ def secondary_face_lattice(config: PointConfig) -> FaceLattice:
     gkz = [gkz_vector(config, t) for t in regular]
     by_vertices: Dict[Tuple[int, ...], Face] = {}
     for msub in enumerate_marked_subdivisions(config):
-        if not marked_is_regular(config, msub):
-            continue
         marks = msub.mark_sets()
+        if _regular_heights(config, msub.cells, marks, strict_inside=True) is None:
+            continue
         vs = tuple(i for i, t in enumerate(regular) if _refines_marked(t, marks))
         if not vs:
             raise SubdivisionError(f"regular marked subdivision with no refinement: {msub}")

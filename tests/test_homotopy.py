@@ -355,6 +355,22 @@ def test_arc_algebra_structure():
     assert check_stasheff(alg, max_arity=4).ok
 
 
+def test_ainf_builds_each_far_polygon_once_per_M(monkeypatch):
+    import air.homotopy
+    arc = PointConfig.of([(l, x, x * x) for l, x in zip("abcde", (2, 1, 0, -1, -2))])
+    real = air.homotopy.enumerate_triangulations
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return real(cfg)
+    monkeypatch.setattr(air.homotopy, "enumerate_triangulations", counted)
+    alg = build_ainf(arc, UP)
+    assert (len(alg.basis), len(alg.m2)) == (26, 23)
+    # one polygon per chain at M and again at 2M for the recheck
+    assert len(calls) <= 2 * len(alg.basis)
+
+
 def test_higher_products_are_zero():
     arc = PointConfig.of([("a", 3, 0), ("b", 1, -2), ("c", -1, -2), ("d", -3, 0)])
     alg = build_ainf(arc, UP)

@@ -230,6 +230,23 @@ def test_marked_regularity():
         marked_is_regular(TRI_P, MarkedSubdivision((("a", "b", "c"),), (("a", "b"),)))
 
 
+def test_marked_regularity_needs_one_mark_set_per_cell():
+    cells = validate_subdivision(SQUARE, T_AC)
+    with pytest.raises(InvalidSubdivision, match="mark sets"):
+        marked_is_regular(SQUARE, MarkedSubdivision(cells, (cells[0],)))
+
+
+def test_marked_regularity_rejects_an_unknown_mark():
+    msub = MarkedSubdivision((("a", "b", "c"),), (("a", "b", "c", "q"),))
+    with pytest.raises(InvalidSubdivision, match="unknown"):
+        marked_is_regular(TRI_P, msub)
+
+
+def test_flip_rejects_an_edge_of_three_labels():
+    with pytest.raises(NotFlippable):
+        flip(SQUARE, T_AC, ("a", "b", "c"))
+
+
 def test_face_lattice_pentagon():
     lat = secondary_face_lattice(PENTAGON)
     counts = {d: len(lat.faces_of_dim(d)) for d in range(3)}
