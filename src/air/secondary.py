@@ -483,14 +483,8 @@ def _triangulations_using_all(config: PointConfig, hull: List[str],
     return out
 
 
-def _is_regular_triangulation(config: PointConfig, tri: Cells) -> bool:
-    return _regular_heights(config, tri, [frozenset(c) for c in tri],
-                            strict_inside=False) is not None
-
-
 def regular_triangulations(config: PointConfig) -> List[Cells]:
-    return [t for t in enumerate_triangulations(config)
-            if _is_regular_triangulation(config, t)]
+    return [t for t in enumerate_triangulations(config) if is_regular(config, t)]
 
 
 # -- GKZ vectors and the secondary polytope ------------------------------------
@@ -526,7 +520,7 @@ class SecondaryPolytope:
 def secondary_polytope(config: PointConfig) -> SecondaryPolytope:
     graph = _flip_graph(config)
     tris = sorted(graph)
-    regular = [t for t in tris if _is_regular_triangulation(config, t)]
+    regular = [t for t in tris if is_regular(config, t)]
     gkz = [gkz_vector(config, t) for t in regular]
     pos = {t: i for i, t in enumerate(regular)}
     edges = set()
@@ -716,9 +710,9 @@ def secondary_face_lattice(config: PointConfig) -> FaceLattice:
     gkz = [gkz_vector(config, t) for t in regular]
     by_vertices: Dict[Tuple[int, ...], Face] = {}
     for msub in enumerate_marked_subdivisions(config):
-        marks = msub.mark_sets()
-        if _regular_heights(config, msub.cells, marks, strict_inside=True) is None:
+        if not marked_is_regular(config, msub):
             continue
+        marks = msub.mark_sets()
         vs = tuple(i for i, t in enumerate(regular) if _refines_marked(t, marks))
         if not vs:
             raise SubdivisionError(f"regular marked subdivision with no refinement: {msub}")
