@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .exactgeom import Direction, PointConfig, check_genericity, cross, vsub
 from .homotopy import build_ainf, build_web_cdga, check_d_squared, \

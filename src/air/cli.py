@@ -56,6 +56,8 @@ def _load_json(path: str) -> dict:
             return json.load(f)
     except FileNotFoundError:
         raise _UsageError(f"no such file: {path}")
+    except OSError as e:
+        raise _UsageError(f"cannot read {path}: {e.strerror}")
     except json.JSONDecodeError as e:
         raise _UsageError(f"invalid JSON in {path}: {e}")
 

@@ -232,6 +232,9 @@ class PointConfig:
             items = [(e["label"], e["x"], e["y"]) for e in obj["points"]]
         except (KeyError, TypeError) as exc:
             raise GeometryError(f"malformed point configuration: {exc}") from exc
+        bad = [l for l, _, _ in items if not isinstance(l, str)]
+        if bad:
+            raise GeometryError(f"labels must be strings, got {bad[0]!r}")
         return PointConfig.of(items)
 
     def to_json(self) -> str:
@@ -266,13 +269,6 @@ def convex_hull(config: PointConfig) -> List[str]:
     if len(hull) < 2:  # fully collinear: keep the two extremes
         hull = [items[0], items[-1]]
     return [l for (_, l) in hull]
-
-
-def hull_points(points: Sequence[Point]) -> List[Point]:
-    """Convex hull of bare points (ccw, degenerate cases as in convex_hull)."""
-    cfg = PointConfig([f"p{i}" for i in range(len(points))],
-                      {f"p{i}": p for i, p in enumerate(points)})
-    return [cfg.coords[l] for l in convex_hull(cfg)]
 
 
 def point_in_convex_polygon(p: Point, poly: Sequence[Point]) -> int:

@@ -39,12 +39,13 @@ from .exactgeom import (
     PointConfig,
     cross,
     dot,
+    orient,
     pt,
     rho,
     vsub,
 )
 from .infrared import NonGenericZeta, _frame, _right_turn_chains
-from .linalg import Matrix, det, mat_mul, solve, zeros
+from .linalg import Matrix, _reduce, det, mat_mul, solve, transpose, zeros
 from .secondary import (
     Cells,
     Cell,
@@ -69,24 +70,17 @@ class UnstableM(ValueError):
     pass
 
 
+K_MAX = 4  # the highest arity check_stasheff evaluates
+
+
 # -- orientation data ----------------------------------------------------------
 
 
 def _greedy_basis(vectors: Sequence[Tuple[Fraction, ...]]) -> List[Tuple[Fraction, ...]]:
-    """Maximal independent subsequence, greedily in the given order."""
-    basis: List[List[Fraction]] = []  # row-echelon shadow of the chosen vectors
-    chosen: List[Tuple[Fraction, ...]] = []
-    for v in vectors:
-        row = list(v)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x != 0)
-            if row[lead] != 0:
-                f = row[lead] / b[lead]
-                row = [x - f * y for x, y in zip(row, b)]
-        if any(x != 0 for x in row):
-            basis.append(row)
-            chosen.append(v)
-    return chosen
+    """Maximal independent subsequence, greedily in the given order: the
+    pivot columns of the matrix whose columns are the vectors."""
+    _, pivots, _ = _reduce(transpose(list(vectors)), len(vectors))
+    return [vectors[c] for c in pivots]
 
 
 def _coords_in(basis: List[Tuple[Fraction, ...]], v: Tuple[Fraction, ...]) -> List[Fraction]:
@@ -138,6 +132,24 @@ def _incidence_sign(face: _FaceData, facet: _FaceData) -> int:
     return _det_sign_of_columns(cols)
 
 
+def _product_sign(facet: _FaceData, labels: Sequence[str],
+                  pieces: Sequence[Tuple[Sequence[str], _FaceData]]) -> int:
+    """Sign comparing the facet's orientation with the product orientation of
+    the pieces: each piece's basis, zero-extended from its labels to
+    `labels`, concatenated in the given order."""
+    index = {l: i for i, l in enumerate(labels)}
+    cols: List[List[Fraction]] = []
+    for piece_labels, piece in pieces:
+        for b in piece.basis:
+            ext = [Fraction(0)] * len(labels)
+            for l, x in zip(piece_labels, b):
+                ext[index[l]] = x
+            cols.append(_coords_in(facet.basis, tuple(ext)))
+    if len(cols) != facet.dim:
+        raise SignInconsistency("factorization does not span the facet")
+    return _det_sign_of_columns(cols)
+
+
 class _LatticeData(NamedTuple):
     faces: List[_FaceData]                # in lattice order
     facets: List[List[Tuple[int, int]]]   # per face: (facet position, sign)
@@ -164,9 +176,6 @@ class ChainComplex:
     generators: List[Tuple[int, int]]        # (id, degree), id = face index
     boundary: Dict[int, Matrix]              # degree k -> matrix C_k -> C_{k-1}
     lattice: FaceLattice
-
-    def degree_indices(self, d: int) -> List[int]:
-        return [gid for gid, deg in self.generators if deg == d]
 
 
 def polyhedral_chain_complex(source) -> ChainComplex:
@@ -312,9 +321,6 @@ class WebCdga:
                     sign = -sign
         return out
 
-    def d_generator(self, gid: int) -> Element:
-        return dict(self.differential[gid])
-
     def to_obj(self) -> dict:
         names = {g.gid: g.name for g in self.generators}
         return {
@@ -405,23 +411,12 @@ def _factorized_facet(sub: Tuple[str, ...], facet, facet_data: _FaceData,
     factors = [tuple(m) for m in facet.subdivision.marks]
     gids = [top_gid(f) for f in factors]
     order = sorted(range(len(gids)), key=lambda i: gids[i])
-    # orientation: factor bases, zero-extended to the ambient label set,
-    # concatenated in the same sorted order as the monomial is written
-    index = {l: i for i, l in enumerate(sub)}
-    cols: List[List[Fraction]] = []
-    for i in order:
-        f = factors[i]
-        if len(f) == 2:
-            continue  # a pair's polytope is a point
-        fdata = face_data[f].faces[face_data[f].top]
-        for b in fdata.basis:
-            ext = [Fraction(0)] * len(sub)
-            for l, x in zip(f, b):
-                ext[index[l]] = x
-            cols.append(_coords_in(facet_data.basis, tuple(ext)))
-    if len(cols) != facet_data.dim:
-        raise SignInconsistency("factorization does not span the facet")
-    kappa = _det_sign_of_columns(cols)
+    # factors in the sorted order the monomial is written in; a pair's
+    # polytope is a point
+    ordered = [factors[i] for i in order if len(factors[i]) > 2]
+    kappa = _product_sign(facet_data, sub,
+                          [(f, face_data[f].faces[face_data[f].top])
+                           for f in ordered])
     mono = tuple(gids[i] for i in order)
     for a, b in zip(mono, mono[1:]):
         if a == b:
@@ -501,7 +496,7 @@ def _extended_at(config: PointConfig, eta: Direction, M: Fraction
         for c in tri:
             if INF in c:
                 a, b = [l for l in c if l != INF]
-                if cross(vsub(ext.point(a), p), vsub(ext.point(b), p)) < 0:
+                if orient(p, ext.point(a), ext.point(b)) < 0:
                     a, b = b, a
                 inf_cells.append((INF, a, b))
             else:
@@ -514,20 +509,16 @@ def _extended_at(config: PointConfig, eta: Direction, M: Fraction
     return out
 
 
-def extended_triangulations(config: PointConfig, eta: Direction,
-                            M="auto") -> List[ExtendedTriangulation]:
+def extended_triangulations(config: PointConfig,
+                            eta: Direction) -> List[ExtendedTriangulation]:
     """Triangulations of the configuration together with a far point M*eta.
 
-    The far point stands for the vacuum at infinity in the direction eta.
-    M="auto" places it at _far_bound, past which the triangulations are the
-    M -> infinity ones; an explicit M below that bound raises UnstableM.  A
-    collinear triple, the far point included, raises DegenerateConfig.
+    The far point stands for the vacuum at infinity in the direction eta.  It
+    sits at M = _far_bound, past which the triangulations are the
+    M -> infinity ones.  A collinear triple, the far point included, raises
+    DegenerateConfig.
     """
-    bound = _far_bound(config, eta)
-    m = bound if M == "auto" else Fraction(M)
-    if m < bound:
-        raise UnstableM(f"M={m} is below the far-point bound {bound}")
-    return _extended_at(config, eta, m)
+    return _extended_at(config, eta, _far_bound(config, eta))
 
 
 # -- the algebra of infinite polygons ---------------------------------------------
@@ -554,7 +545,6 @@ class AInfAlgebra:
     basis: List[Tuple[str, ...]]                 # chains, canonical order
     degrees: List[int]                           # len(chain) - 2
     m2: Dict[Tuple[int, int], Tuple[int, Fraction]]  # (i, j) -> (k, coeff)
-    K_max: int = 4
     M: Fraction = Fraction(0)
 
     def m(self, k: int, args: Sequence[int]) -> Dict[int, Fraction]:
@@ -582,16 +572,19 @@ class _FarPolygon(NamedTuple):
     top: _FaceData                    # the whole secondary polytope
 
 
-def _far_polygon(config: PointConfig, eta: Direction, M: Fraction,
-                 chain: Tuple[str, ...]) -> _FarPolygon:
-    """The far-point model of the infinite polygon on a chain, with the GKZ
-    vectors of its triangulations and its secondary polytope's face data."""
-    poly_cfg = config.subconfig(chain).with_point(INF, _far_point(eta, M),
-                                                   front=True)
-    normalize_cell(poly_cfg, poly_cfg.labels)  # must be strictly convex
-    tris = enumerate_triangulations(poly_cfg)
-    gkz = [gkz_vector(poly_cfg, t) for t in tris]
-    return _FarPolygon(poly_cfg, tris, gkz, _face_data(range(len(tris)), gkz))
+def _far_config(config: PointConfig, eta: Direction, M: Fraction,
+                chain: Tuple[str, ...]) -> PointConfig:
+    """The far-point model of the infinite polygon on a chain."""
+    return config.subconfig(chain).with_point(INF, _far_point(eta, M),
+                                              front=True)
+
+
+def _far_polygon(cfg: PointConfig, triangulations: List[Cells]) -> _FarPolygon:
+    """A far-point model with the GKZ vectors of its triangulations and its
+    secondary polytope's face data."""
+    gkz = [gkz_vector(cfg, t) for t in triangulations]
+    return _FarPolygon(cfg, triangulations, gkz,
+                       _face_data(range(len(triangulations)), gkz))
 
 
 def _glued_face_sign(glued: _FarPolygon, left: _FarPolygon,
@@ -608,28 +601,28 @@ def _glued_face_sign(glued: _FarPolygon, left: _FarPolygon,
     if facet.dim != glued.top.dim - 1:
         raise SignInconsistency("splitting is not a facet of the glued polygon")
     eps = _incidence_sign(glued.top, facet)
-    # factor bases in operadic order (left piece first), zero-extended
-    index = {l: i for i, l in enumerate(cfg.labels)}
-    cols: List[List[Fraction]] = []
-    for piece in (left, right):
-        for b in piece.top.basis:
-            ext = [Fraction(0)] * len(cfg.labels)
-            for l, x in zip(piece.config.labels, b):
-                ext[index[l]] = x
-            cols.append(_coords_in(facet.basis, tuple(ext)))
-    if len(cols) != facet.dim:
-        raise SignInconsistency("glued factorization does not span the facet")
-    return Fraction(eps * _det_sign_of_columns(cols))
+    # operadic order: the left piece first
+    return Fraction(eps * _product_sign(facet, cfg.labels,
+                                        [(left.config.labels, left.top),
+                                         (right.config.labels, right.top)]))
 
 
-def build_ainf(config: PointConfig, eta: Direction, K_max: int = 4) -> AInfAlgebra:
+def build_ainf(config: PointConfig, eta: Direction) -> AInfAlgebra:
     """The algebra of infinite polygons in direction eta."""
     basis = convex_chains(config, eta)
     idx = {ch: i for i, ch in enumerate(basis)}
     M = _far_bound(config, eta)
+    # past the bound the triangulations are the M -> infinity ones, so they
+    # are found once, at M
+    triangulations = []
+    for chain in basis:
+        cfg = _far_config(config, eta, M, chain)
+        normalize_cell(cfg, cfg.labels)  # must be strictly convex
+        triangulations.append(enumerate_triangulations(cfg))
 
     def m2_at(m: Fraction) -> Dict[Tuple[int, int], Tuple[int, Fraction]]:
-        polys = [_far_polygon(config, eta, m, chain) for chain in basis]
+        polys = [_far_polygon(_far_config(config, eta, m, chain), tris)
+                 for chain, tris in zip(basis, triangulations)]
         table: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
         for k, chain in enumerate(basis):
             for cut in range(1, len(chain) - 1):
@@ -644,8 +637,7 @@ def build_ainf(config: PointConfig, eta: Direction, K_max: int = 4) -> AInfAlgeb
     # the bound fixes the combinatorics, not the signs of the GKZ volumes
     if m2 != m2_at(2 * M):
         raise UnstableM("structure constants change under doubling M")
-    return AInfAlgebra(config, eta, basis, [len(c) - 2 for c in basis],
-                       m2, K_max, M)
+    return AInfAlgebra(config, eta, basis, [len(c) - 2 for c in basis], m2, M)
 
 
 @dataclass
@@ -662,8 +654,8 @@ def check_stasheff(alg: AInfAlgebra, max_arity: int = 4) -> StasheffReport:
     zero, so arities other than 3 are vacuous; all are still evaluated
     literally so a corrupted table is caught.
     """
-    if max_arity > alg.K_max:
-        raise ValueError(f"max_arity {max_arity} exceeds K_max {alg.K_max}")
+    if max_arity > K_MAX:
+        raise ValueError(f"max_arity {max_arity} exceeds K_max {K_MAX}")
     failures: List[Tuple[int, Tuple[int, ...]]] = []
     n = len(alg.basis)
     if max_arity >= 3:

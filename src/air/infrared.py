@@ -2,11 +2,12 @@
 
 Vacua are ordered by increasing inner product with rho(zeta), the +90 degree
 rotation of zeta.  A convex path visits vacua in strictly increasing order and
-turns right at every interior vertex; equivalently each vertex is extreme in
-the convex hull of the rays w + R+*zeta, an equivalence the tests check
-rather than assume.  Genericity is checked once per (configuration, zeta): a
-private frame holds the order, its rank map and the positions, and every
-function here reads the order from it.
+turns right at every interior vertex b, between a and c, which is
+orient(a, b, c) < 0; equivalently each vertex is extreme in the convex hull
+of the rays w + R+*zeta, an equivalence the tests check rather than assume.
+Genericity is checked once per (configuration, zeta): a private frame holds
+the order, its rank map and the positions, and every function here reads the
+order from it.
 
 The Stokes block C_ij sums the transport composites over all convex paths
 from i to j.  Their number grows exponentially (on a convex arc every
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,6 +47,7 @@ from .exactgeom import (
     convex_hull,
     cross,
     dot,
+    orient,
     rho,
     vsub,
 )
@@ -106,26 +108,20 @@ def zeta_order(config: PointConfig, zeta: Direction) -> List[str]:
     return _frame(config, zeta).order
 
 
-def _turns_right(config: PointConfig, a: str, b: str, c: str) -> bool:
-    u = vsub(config.point(b), config.point(a))
-    v = vsub(config.point(c), config.point(b))
-    return cross(u, v) < 0
-
-
 def _right_turn_chains(config: PointConfig, frame: _Frame, src: str,
                        last: str) -> Iterator[Tuple[str, ...]]:
     """Every chain from src, strictly increasing in the frame order and no
     further than last, that turns right at each interior vertex; depth
     first, the one-point chain (src,) first."""
-    order, rank = frame.order, frame.rank
+    order, rank, pts = frame.order, frame.rank, config.coords
     chain = [src]
 
     def extend() -> Iterator[Tuple[str, ...]]:
         yield tuple(chain)
         tip = chain[-1]
         for nxt in order[rank[tip] + 1: rank[last] + 1]:
-            if len(chain) >= 2 and not _turns_right(config, chain[-2], tip,
-                                                    nxt):
+            if len(chain) >= 2 and orient(pts[chain[-2]], pts[tip],
+                                          pts[nxt]) >= 0:
                 continue
             chain.append(nxt)
             yield from extend()
@@ -150,7 +146,8 @@ def _is_convex_path(config: PointConfig, fr: _Frame,
     for a, b in zip(seq, seq[1:]):
         if fr.pos[b] <= fr.pos[a]:  # forward edge, implied by the order
             return False
-    return all(_turns_right(config, a, b, c)
+    pts = config.coords
+    return all(orient(pts[a], pts[b], pts[c]) < 0
                for a, b, c in zip(seq, seq[1:], seq[2:]))
 
 
@@ -300,10 +297,11 @@ def stokes_matrix(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
     order = _frame(config, zeta).order
     dims = md.phi_dims
     n = len(order)
+    pts = config.coords
     # (a, b) -> the labels c after b at which a -> b -> c turns right
     turns = {(order[x], order[y]): [c for c in order[y + 1:]
-                                    if _turns_right(config, order[x],
-                                                    order[y], c)]
+                                    if orient(pts[order[x]], pts[order[y]],
+                                              pts[c]) < 0]
              for x in range(n) for y in range(x + 1, n)}
     blocks: Dict[Tuple[str, str], Matrix] = {}
     for s in range(n):

@@ -9,7 +9,9 @@ Dimensions may be zero.  An r x 0 matrix is r empty rows, ``[[]] * r``, and a
 rows.  A product whose right factor is empty therefore takes its width from
 the ``cols`` argument of mat_mul.  This module is the one exact matrix kernel
 of the package: the products, block layouts and JSON codec of the diagrams
-and Stokes matrices all go through it.
+and Stokes matrices all go through it, and every elimination (det, rank,
+inverse, solve, and the greedy bases of the web algebra) goes through the
+one routine _reduce.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = parse_rational(c)
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a: Matrix, b: Matrix, cols: Optional[int] = None) -> Matrix:
     """Product a @ b.  The inner dimension is len(b); the output width is
     that of b's rows, or ``cols`` when b has no rows, which is then required
@@ -104,93 +101,75 @@ def transpose(a: Matrix) -> Matrix:
     return [[a[i][j] for i in range(m)] for j in range(n)]
 
 
+def _reduce(a: Matrix, ncols: int) -> Tuple[Matrix, List[int], Fraction]:
+    """Gauss-Jordan elimination of a copy of ``a`` over its first ``ncols``
+    columns.  The pivot of each column is its first nonzero entry at or below
+    the current rank.  Returns the reduced rows (each pivot 1, the only
+    nonzero of its column within those columns), the pivot columns, and the
+    product of the pivots times the sign of the row swaps."""
+    rows = [list(r) for r in a]
+    m = len(rows)
+    pivots: List[int] = []
+    scale = Fraction(1)
+    for col in range(ncols):
+        rk = len(pivots)
+        if rk == m:
+            break
+        piv = next((r for r in range(rk, m) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rk:
+            rows[rk], rows[piv] = rows[piv], rows[rk]
+            scale = -scale
+        p = rows[rk][col]
+        scale *= p
+        inv = 1 / p
+        # the pivot row is zero left of col, so only columns col.. change
+        prow = rows[rk][:col] + [x * inv for x in rows[rk][col:]]
+        rows[rk] = prow
+        for r in range(m):
+            f = rows[r][col]
+            if r != rk and f != 0:
+                rows[r] = rows[r][:col] + [x - f * y for x, y in
+                                           zip(rows[r][col:], prow[col:])]
+        pivots.append(col)
+    return rows, pivots, scale
+
+
 def det(a: Matrix) -> Fraction:
     m, n = shape(a)
     if m != n:
         raise ValueError("determinant of a non-square matrix")
-    a = [row[:] for row in a]
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            result = -result
-        result *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] * inv
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return result
+    _, pivots, scale = _reduce(a, n)
+    return scale if len(pivots) == n else Fraction(0)
 
 
 def rank(a: Matrix) -> int:
-    m, n = shape(a)
-    a = [row[:] for row in a]
-    rk = 0
-    for col in range(n):
-        piv = next((r for r in range(rk, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rk], a[piv] = a[piv], a[rk]
-        inv = 1 / a[rk][col]
-        for r in range(m):
-            if r != rk and a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[rk])]
-        rk += 1
-        if rk == m:
-            break
-    return rk
+    return len(_reduce(a, shape(a)[1])[1])
 
 
 def inverse(a: Matrix) -> Matrix:
     m, n = shape(a)
     if m != n:
         raise ValueError("inverse of a non-square matrix")
-    a = [row[:] + irow[:] for row, irow in zip(a, identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    aug = [row + irow for row, irow in zip(a, identity(n))]
+    rows, pivots, _ = _reduce(aug, n)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular")
+    return [row[n:] for row in rows]
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """One solution of A x = b, or None if inconsistent (A need not be square)."""
-    m, n = shape(a)
-    aug = [list(row) + [parse_rational(v)] for row, v in zip(a, b)]
-    pivots: List[Tuple[int, int]] = []
-    rk = 0
-    for col in range(n):
-        piv = next((r for r in range(rk, m) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rk], aug[piv] = aug[piv], aug[rk]
-        inv = 1 / aug[rk][col]
-        aug[rk] = [x * inv for x in aug[rk]]
-        for r in range(m):
-            if r != rk and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rk])]
-        pivots.append((rk, col))
-        rk += 1
-    for r in range(rk, m):
-        if aug[r][n] != 0:
-            return None
+    """One solution of A x = b, or None if inconsistent (A need not be square);
+    free variables are 0."""
+    n = shape(a)[1]
+    rows, pivots, _ = _reduce([list(row) + [parse_rational(v)]
+                               for row, v in zip(a, b)], n)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = aug[r][n]
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
     return x
 
 

@@ -23,7 +23,8 @@ convex, and with strict folds every plane lies strictly below the lift off
 its own cell.  So each point lies strictly above the plane of every cell
 that does not contain it, which is the global cells x points system.  The
 rows go to the Fourier-Motzkin solver, and the witness heights it returns
-reproduce the subdivision on lift.
+reproduce the subdivision on lift.  The lift itself (lift_marked_subdivision)
+reads its lower faces from the same plane row as the regularity rows.
 
 The standing assumption throughout is a generic configuration (no three points
 collinear, see exactgeom.check_genericity); validation is complete under that
@@ -32,7 +33,7 @@ assumption and best-effort otherwise.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -55,7 +56,6 @@ from .exactgeom import (
     vsub,
 )
 from .linalg import rank as mat_rank
-from .linalg import solve
 from .lp import LinearSystem
 
 Cell = Tuple[str, ...]
@@ -150,23 +150,40 @@ class MarkedSubdivision:
 # -- lifting ------------------------------------------------------------------
 
 
+def _plane_row(coords: Dict[str, Point], index: Dict[str, int], cell: Cell,
+               s: str) -> List[Fraction]:
+    """The row of point s against the plane through the lifted ccw base
+    (a, b, c) = cell[:3]: with D = cross(b - a, c - a) > 0, its dot product
+    with the heights is D * (plane(s) - h_s), which is 0 when s is a base
+    vertex.  Each coefficient of a base vertex is a cross product of the
+    other two seen from s, so no 3x3 system is solved."""
+    (ax, ay), (bx, by), (cx, cy) = (coords[l] for l in cell[:3])
+    sx, sy = coords[s]
+    r = [Fraction(0)] * len(index)
+    r[index[cell[0]]] = (bx - sx) * (cy - sy) - (by - sy) * (cx - sx)
+    r[index[cell[1]]] = (cx - sx) * (ay - sy) - (cy - sy) * (ax - sx)
+    r[index[cell[2]]] = (ax - sx) * (by - sy) - (ay - sy) * (bx - sx)
+    r[index[s]] -= (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return r
+
+
 def _lower_faces(config: PointConfig, heights: Dict[str, Fraction]) -> List[FrozenSet[str]]:
     labels = config.labels
-    h = {l: parse_rational(heights[l]) for l in labels}
+    coords = config.coords
+    index = {l: i for i, l in enumerate(labels)}
+    h = [parse_rational(heights[l]) for l in labels]
     faces = set()
     for a, b, c in combinations(labels, 3):
-        pa, pb, pc = config.point(a), config.point(b), config.point(c)
-        m = [[pa.x, pa.y, Fraction(1)],
-             [pb.x, pb.y, Fraction(1)],
-             [pc.x, pc.y, Fraction(1)]]
-        sol = solve(m, [h[a], h[b], h[c]])
-        if sol is None or mat_rank(m) < 3:  # collinear base triple
+        o = orient(coords[a], coords[b], coords[c])
+        if o == 0:  # collinear base triple
             continue
-        ca, cb, cc = sol
-        vals = {l: ca * config.point(l).x + cb * config.point(l).y + cc for l in labels}
-        if any(h[l] < vals[l] for l in labels):
+        base = (a, b, c) if o > 0 else (a, c, b)
+        vals = [sum(x * y for x, y in zip(_plane_row(coords, index, base, s), h)
+                    if x)
+                for s in labels]
+        if any(v > 0 for v in vals):  # the plane passes above a lifted point
             continue
-        faces.add(frozenset(l for l in labels if h[l] == vals[l]))
+        faces.add(frozenset(l for l, v in zip(labels, vals) if v == 0))
     return sorted(faces, key=sorted)
 
 
@@ -208,30 +225,19 @@ def _regular_heights(config: PointConfig, cells: Cells,
     """Witness heights for the canonical cells with their mark sets, from the
     local rows of the module docstring, or None if there are none.
 
-    For a cell with ccw base (a, b, c) and D = cross(b - a, c - a) > 0, the
-    row of a point s is D * (plane(s) - h_s); s lies on or above the cell's
-    plane when the row is 0 or negative.  A point on the shared edge of two
-    cells (possible only off the generic case) gets a row from each cell
-    that does not mark it.
+    Every row is a _plane_row: s lies on or above the cell's plane when it
+    is 0 or negative.  A point on the shared edge of two cells (possible
+    only off the generic case) gets a row from each cell that does not mark
+    it.
     """
     index = {l: i for i, l in enumerate(config.labels)}
     coords = config.coords
     sys = LinearSystem(len(index))
 
-    def row(cell: Cell, s: str) -> List[Fraction]:
-        (ax, ay), (bx, by), (cx, cy) = (coords[l] for l in cell[:3])
-        sx, sy = coords[s]
-        r = [Fraction(0)] * len(index)
-        r[index[cell[0]]] = (bx - sx) * (cy - sy) - (by - sy) * (cx - sx)
-        r[index[cell[1]]] = (cx - sx) * (ay - sy) - (cy - sy) * (ax - sx)
-        r[index[cell[2]]] = (ax - sx) * (by - sy) - (ay - sy) * (bx - sx)
-        r[index[s]] = -((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-        return r
-
     owner: Dict[Tuple[str, str], Cell] = {}
     for cell, mk in zip(cells, marks):
         for s in sorted(mk.difference(cell[:3]), key=index.__getitem__):
-            sys.add_eq(row(cell, s), 0)
+            sys.add_eq(_plane_row(coords, index, cell, s), 0)
         for i in range(len(cell)):
             owner[(cell[i], cell[(i + 1) % len(cell)])] = cell
     for (a, b), cell in owner.items():
@@ -239,7 +245,7 @@ def _regular_heights(config: PointConfig, cells: Cells,
         if other is not None and a < b:
             # cells are strictly convex, so no other vertex lies on line ab
             v = next(l for l in other if l != a and l != b)
-            sys.add_lt(row(cell, v), 0)
+            sys.add_lt(_plane_row(coords, index, cell, v), 0)
     used = {l for cell in cells for l in cell}
     for s in config.labels:
         if s in used:
@@ -247,10 +253,11 @@ def _regular_heights(config: PointConfig, cells: Cells,
         for cell, mk in zip(cells, marks):
             where = point_in_convex_polygon(coords[s], cell_points(config, cell))
             if where and s not in mk:
+                r = _plane_row(coords, index, cell, s)
                 if strict_inside:
-                    sys.add_lt(row(cell, s), 0)
+                    sys.add_lt(r, 0)
                 else:
-                    sys.add_le(row(cell, s), 0)
+                    sys.add_le(r, 0)
             if where == 2:
                 break
     x = sys.feasible_point()

@@ -56,6 +56,28 @@ def test_missing_file_is_usage_error():
     assert code == 2
 
 
+def test_unreadable_config_path_is_usage_error(tmp_path):
+    code, out, err = invoke("triangulations", "--config", str(tmp_path))
+    assert code == 2
+    assert out == b""
+    assert b"usage error" in err
+    assert b"Traceback" not in err
+
+
+@pytest.mark.parametrize("label", [1, [1]])
+def test_non_string_label_is_domain_error(tmp_path, label):
+    obj = PointConfig.of([("a", 0, 0), ("b", 4, 0), ("c", 0, 4)]).to_obj()
+    obj["points"][1]["label"] = label
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = invoke("triangulations", "--config", str(path))
+    assert code == 1
+    assert out == b""
+    payload = json.loads(err)
+    assert payload["error"] == "GeometryError"
+    assert "labels must be strings" in payload["message"]
+
+
 def test_domain_error_is_machine_readable(md):
     _, path = md
     code, out, err = invoke("wallcross", "--config", path, "--ray", "1,1")

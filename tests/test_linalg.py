@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from air.homotopy import _greedy_basis
 from air.linalg import (
     SingularMatrix,
     block_matrix,
@@ -20,6 +24,7 @@ from air.linalg import (
     mat_to_obj,
     rank,
     zeros,
+    shape,
     solve,
     transpose,
 )
@@ -158,3 +163,177 @@ def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         mat_mul(mat([[1, 2]]), mat([[1, 2]]))
     assert mat_sub(mat([[3]]), mat([[1]])) == mat([[2]])
+
+
+# -- the shared elimination against one loop per routine --------------------------
+#
+# Each oracle below is a separate Gauss-Jordan loop, one per routine, with
+# the same pivot rule: the first nonzero row at or below the current rank.
+
+
+def _oracle_det(a):
+    m, n = shape(a)
+    if m != n:
+        raise ValueError("determinant of a non-square matrix")
+    a = [row[:] for row in a]
+    result = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            result = -result
+        result *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] == 0:
+                continue
+            f = a[r][col] * inv
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return result
+
+
+def _oracle_rank(a):
+    m, n = shape(a)
+    a = [row[:] for row in a]
+    rk = 0
+    for col in range(n):
+        piv = next((r for r in range(rk, m) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[rk], a[piv] = a[piv], a[rk]
+        inv = 1 / a[rk][col]
+        for r in range(m):
+            if r != rk and a[r][col] != 0:
+                f = a[r][col] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[rk])]
+        rk += 1
+        if rk == m:
+            break
+    return rk
+
+
+def _oracle_inverse(a):
+    m, n = shape(a)
+    if m != n:
+        raise ValueError("inverse of a non-square matrix")
+    a = [row[:] + irow[:] for row, irow in zip(a, identity(n))]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrix("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def _oracle_solve(a, b: Sequence[Fraction]) -> Optional[List[Fraction]]:
+    m, n = shape(a)
+    aug = [list(row) + [Fraction(v)] for row, v in zip(a, b)]
+    pivots: List[Tuple[int, int]] = []
+    rk = 0
+    for col in range(n):
+        piv = next((r for r in range(rk, m) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        aug[rk], aug[piv] = aug[piv], aug[rk]
+        inv = 1 / aug[rk][col]
+        aug[rk] = [x * inv for x in aug[rk]]
+        for r in range(m):
+            if r != rk and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rk])]
+        pivots.append((rk, col))
+        rk += 1
+    for r in range(rk, m):
+        if aug[r][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for r, c in pivots:
+        x[c] = aug[r][n]
+    return x
+
+
+def _oracle_greedy_basis(vectors):
+    basis = []  # row-echelon shadow of the chosen vectors
+    chosen = []
+    for v in vectors:
+        row = list(v)
+        for b in basis:
+            lead = next(i for i, x in enumerate(b) if x != 0)
+            if row[lead] != 0:
+                f = row[lead] / b[lead]
+                row = [x - f * y for x, y in zip(row, b)]
+        if any(x != 0 for x in row):
+            basis.append(row)
+            chosen.append(v)
+    return chosen
+
+
+# small entries, zero half the time, so singular and rank-deficient
+# matrices are common
+entries = st.one_of(st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    a = draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                      min_size=r, max_size=r))
+    if r and c and draw(st.booleans()):
+        # a product through a thin middle: rank at most k
+        k = draw(st.integers(0, min(r, c)))
+        left = draw(matrices(r, k))
+        right = draw(matrices(k, c))
+        a = mat_mul(left, right, c)
+    return a
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 5))
+    return draw(matrices(n, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=square_matrices())
+def test_det_and_inverse_match_their_own_elimination(a):
+    assert det(a) == _oracle_det(a)
+    try:
+        expected = _oracle_inverse(a)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            inverse(a)
+    else:
+        assert inverse(a) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=matrices(), data=st.data())
+def test_rank_and_solve_match_their_own_elimination(a, data):
+    assert rank(a) == _oracle_rank(a)
+    b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+    assert solve(a, b) == _oracle_solve(a, b)
+    if a and a[0]:
+        # a consistent right-hand side: a combination of the columns
+        x = data.draw(st.lists(entries, min_size=len(a[0]),
+                               max_size=len(a[0])))
+        b = [sum((u * v for u, v in zip(row, x)), Fraction(0)) for row in a]
+        got = solve(a, b)
+        assert got == _oracle_solve(a, b)
+        assert mat_mul(a, [[v] for v in got]) == [[v] for v in b]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=matrices())
+def test_greedy_basis_is_the_greedy_independent_subsequence(a):
+    vectors = [tuple(row) for row in a]  # rows as the vectors, in order
+    assert _greedy_basis(vectors) == _oracle_greedy_basis(vectors)

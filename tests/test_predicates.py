@@ -38,3 +38,11 @@ def test_orient_is_invariant_under_positive_scaling(p, q, r, w):
     def scaled(a):
         return Point(a.x * w, a.y * w)
     assert orient(scaled(p), scaled(q), scaled(r)) == orient(p, q, r)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(a=points, b=points, c=points)
+def test_a_right_turn_at_b_is_a_clockwise_triple(a, b, c):
+    # cross(b - a, c - b) = cross(b - a, c - a): the turn test is orient
+    assert (orient(a, b, c) < 0) == (cross(vsub(b, a), vsub(c, b)) < 0)
+    assert orient(a, b, c) == sign(cross(vsub(b, a), vsub(c, b)))

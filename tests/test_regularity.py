@@ -1,4 +1,5 @@
-"""The local regularity rows against the global cells x points system.
+"""The local regularity rows against the global cells x points system, and
+the lower faces of a lift against a plane solve per base triple.
 
 The oracle below is the textbook system: for every cell and every point, the
 point's height against the cell's plane (through its first three vertices,
@@ -9,14 +10,16 @@ and is unmarked in an unmarked subdivision.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from air.exactgeom import PointConfig, point_in_convex_polygon
-from air.linalg import solve
+from air.linalg import rank, solve
 from air.lp import LinearSystem
 from air.secondary import (
     MarkedSubdivision,
+    _lower_faces,
     cell_points,
     enumerate_marked_subdivisions,
     enumerate_subdivisions,
@@ -120,3 +123,41 @@ def test_a_point_on_an_interior_edge_marked_on_one_side_is_not_regular():
     both = MarkedSubdivision(cells, (("a", "b", "c", "m"), ("a", "c", "d", "m")))
     assert _check_marked(square, both)
     assert _check_unmarked(square, cells)
+
+
+def _oracle_lower_faces(config, heights):
+    """The lower faces by a 3x3 solve per base triple: the plane through
+    the lifted triple, kept when no lifted point lies below it."""
+    labels = config.labels
+    h = {l: Fraction(heights[l]) for l in labels}
+    faces = set()
+    for a, b, c in combinations(labels, 3):
+        pa, pb, pc = config.point(a), config.point(b), config.point(c)
+        m = [[pa.x, pa.y, Fraction(1)],
+             [pb.x, pb.y, Fraction(1)],
+             [pc.x, pc.y, Fraction(1)]]
+        sol = solve(m, [h[a], h[b], h[c]])
+        if sol is None or rank(m) < 3:  # collinear base triple
+            continue
+        ca, cb, cc = sol
+        vals = {l: ca * config.point(l).x + cb * config.point(l).y + cc
+                for l in labels}
+        if any(h[l] < vals[l] for l in labels):
+            continue
+        faces.add(frozenset(l for l in labels if h[l] == vals[l]))
+    return sorted(faces, key=sorted)
+
+
+def test_lower_faces_agree_with_the_plane_solve():
+    # not generic: m is the centre of the square, on both diagonals
+    square = PointConfig.of([("a", 0, 0), ("b", 2, 0), ("c", 2, 2), ("d", 0, 2),
+                             ("m", 1, 1)])
+    rng = random.Random(47)
+    for cfg in _seeded_configs(range(4, 8), 2) + [MOA, square]:
+        for k in range(8):
+            # small integer heights make many points coplanar
+            heights = {l: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                       if k % 2 else Fraction(rng.randint(0, 2))
+                       for l in cfg.labels}
+            assert _lower_faces(cfg, heights) == \
+                _oracle_lower_faces(cfg, heights)
