@@ -265,6 +265,8 @@ def _cmd_render(args, out, pretty):
     return 0
 
 
+_PARSER = _build_parser()
+
 _COMMANDS = {
     "triangulations": _cmd_triangulations,
     "secondary": _cmd_secondary,
@@ -284,9 +286,8 @@ def run_cli(argv: Optional[List[str]] = None, stdout=None,
     """Dispatch a command line; returns the exit code instead of exiting."""
     out = stdout if stdout is not None else sys.stdout.buffer
     err = stderr if stderr is not None else sys.stderr.buffer
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         pretty = args.format == "pretty"
         return _COMMANDS[args.command](args, out, pretty)
     except _UsageError as e:

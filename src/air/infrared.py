@@ -88,7 +88,6 @@ class _Frame:
     """Facts about a (configuration, zeta) pair, computed once."""
     order: List[str]                 # labels by increasing <w, rho(zeta)>
     rank: Dict[str, int]             # label -> index in order
-    pos: Dict[str, Fraction]         # label -> <w, rho(zeta)>
 
 
 def _frame(config: PointConfig, zeta: Direction) -> _Frame:
@@ -100,7 +99,7 @@ def _frame(config: PointConfig, zeta: Direction) -> _Frame:
                              f"{[v[1:] for v in rep.violations]}")
     pos = _positions(config, zeta)
     order = sorted(config.labels, key=lambda l: pos[l])
-    return _Frame(order, {l: i for i, l in enumerate(order)}, pos)
+    return _Frame(order, {l: i for i, l in enumerate(order)})
 
 
 def zeta_order(config: PointConfig, zeta: Direction) -> List[str]:
@@ -142,10 +141,7 @@ def _is_convex_path(config: PointConfig, fr: _Frame,
     if len(seq) == 0 or any(l not in fr.rank for l in seq):
         return False
     if any(fr.rank[a] >= fr.rank[b] for a, b in zip(seq, seq[1:])):
-        return False
-    for a, b in zip(seq, seq[1:]):
-        if fr.pos[b] <= fr.pos[a]:  # forward edge, implied by the order
-            return False
+        return False  # the order is by projection, so every edge goes forward
     pts = config.coords
     return all(orient(pts[a], pts[b], pts[c]) < 0
                for a, b, c in zip(seq, seq[1:], seq[2:]))
@@ -283,11 +279,6 @@ class StokesMatrix:
     @staticmethod
     def from_json(text: str) -> "StokesMatrix":
         return StokesMatrix.from_obj(json.loads(text))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StokesMatrix) and \
-            self.zeta == other.zeta and self.order == other.order and \
-            self.dims == other.dims and self.blocks == other.blocks
 
 
 def stokes_matrix(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:

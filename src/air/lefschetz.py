@@ -80,10 +80,7 @@ class Superpotential:
         return len(self.coefficients) - 1
 
     def __call__(self, x: complex) -> complex:
-        w = 0j
-        for c in reversed(self.coefficients):
-            w = w * x + complex(c)
-        return w
+        return _horner([complex(c) for c in self.coefficients], x)
 
     def to_obj(self) -> list:
         from .exactgeom import format_rational
@@ -120,11 +117,19 @@ def _poly_gcd_degree(a: List[Fraction], b: List[Fraction]) -> int:
     return max(len(a) - 1, 0)
 
 
-def _ceval(coeffs_desc: List[complex], x: complex) -> complex:
+def _horner(coeffs: Sequence, x):
+    """The polynomial with these ascending coefficients at x, by Horner's
+    rule; complex and mpmath numbers alike."""
     w = 0j
-    for c in coeffs_desc:
+    for c in reversed(coeffs):
         w = w * x + c
     return w
+
+
+def _complex_coeffs(W: Superpotential) -> Tuple[List[complex], List[complex]]:
+    """The coefficients of W and of W' as complex numbers, ascending degree."""
+    return ([complex(c) for c in W.coefficients],
+            [complex(c) for c in _derivative(W.coefficients)])
 
 
 # -- critical data -------------------------------------------------------------------
@@ -155,41 +160,28 @@ def _min_pairwise(xs: Sequence[complex]) -> float:
                default=math.inf)
 
 
-def _newton_mp(coeffs: Sequence[Fraction], seed: complex):
-    """Polish a root of the rational polynomial to residual below 1e-30."""
-    with mpmath.workdps(60):
-        cs = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
-        ds = _derivative_mp(cs)
-        z = mpmath.mpc(seed)
-        for _ in range(200):
-            f = _horner_mp(cs, z)
-            if abs(f) < mpmath.mpf("1e-32"):
-                break
-            d = _horner_mp(ds, z)
-            if d == 0:
-                raise NotMorse("Newton stalled on a degenerate root")
-            z = z - f / d
-        if abs(_horner_mp(cs, z)) >= mpmath.mpf("1e-30"):
-            raise NotMorse("critical point refinement did not converge")
-        return z
+def _newton_mp(cs: Sequence, ds: Sequence, seed: complex):
+    """Polish a root of the mp polynomial cs, with derivative ds, to
+    residual below 1e-30; call at 60 digits."""
+    z = mpmath.mpc(seed)
+    for _ in range(200):
+        f = _horner(cs, z)
+        if abs(f) < mpmath.mpf("1e-32"):
+            break
+        d = _horner(ds, z)
+        if d == 0:
+            raise NotMorse("Newton stalled on a degenerate root")
+        z = z - f / d
+    if abs(_horner(cs, z)) >= mpmath.mpf("1e-30"):
+        raise NotMorse("critical point refinement did not converge")
+    return z
 
 
-def _horner_mp(cs_ascending, z):
-    w = mpmath.mpc(0)
-    for c in reversed(cs_ascending):
-        w = w * z + c
-    return w
-
-
-def _derivative_mp(cs_ascending):
-    return [k * c for k, c in enumerate(cs_ascending)][1:]
-
-
-def _fiber_newton(wc_desc: List[complex], dc_desc: List[complex],
+def _fiber_newton(wc: List[complex], dc: List[complex],
                   p: complex, x: complex) -> Optional[complex]:
     for _ in range(60):
-        f = _ceval(wc_desc, x) - p
-        d = _ceval(dc_desc, x)
+        f = _horner(wc, x) - p
+        d = _horner(dc, x)
         if d == 0:
             return None
         step = f / d
@@ -199,15 +191,10 @@ def _fiber_newton(wc_desc: List[complex], dc_desc: List[complex],
     return None
 
 
-def _coeffs_desc(W: Superpotential) -> List[complex]:
-    return [complex(c) for c in reversed(W.coefficients)]
-
-
 def fiber_basis(W: Superpotential, p: complex) -> FiberBasis:
     """Roots of W(x) = p, polished and sorted, with separation radius."""
-    wc = _coeffs_desc(W)
-    dc = [complex(c) for c in reversed(_derivative(W.coefficients))]
-    shifted = list(wc)
+    wc, dc = _complex_coeffs(W)
+    shifted = wc[::-1]
     shifted[-1] -= p
     raw = np.roots(shifted)
     roots = []
@@ -231,12 +218,12 @@ def _critical_core(coeffs: Tuple[Fraction, ...]):
     if _poly_gcd_degree(list(dW), list(ddW)) > 0:
         raise NotMorse("W' has a repeated root")
     raw = np.roots([complex(c) for c in reversed(dW)])
-    zs = [_newton_mp(dW, complex(r)) for r in raw]
-    ws_mp = []
     with mpmath.workdps(60):
-        cs = [mpmath.mpf(c.numerator) / c.denominator for c in W.coefficients]
-        for z in zs:
-            ws_mp.append(_horner_mp(cs, z))
+        cs, dcs = ([mpmath.mpf(c.numerator) / c.denominator for c in p]
+                   for p in (W.coefficients, dW))
+        ddcs = _derivative(dcs)
+        zs = [_newton_mp(dcs, ddcs, complex(r)) for r in raw]
+        ws_mp = [_horner(cs, z) for z in zs]
     order = sorted(range(len(zs)),
                    key=lambda k: (float(ws_mp[k].real), float(ws_mp[k].imag)))
     zs = [zs[k] for k in order]
@@ -349,8 +336,7 @@ def track_fiber(W: Superpotential, path: Sequence, basis: FiberBasis,
         for w in ws:
             if _segment_distance(a, b, w) < margin:
                 raise PathTooClose(f"path passes within {margin} of {w}")
-    wc = _coeffs_desc(W)
-    dc = [complex(c) for c in reversed(_derivative(W.coefficients))]
+    wc, dc = _complex_coeffs(W)
     xs = list(basis.roots)
     for a, b in zip(pts, pts[1:]):
         if a == b:

@@ -44,16 +44,13 @@ from .exactgeom import (
     GeometryError,
     Point,
     PointConfig,
-    angle_sorted,
     check_genericity,
     convex_hull,
     normvol,
     orient,
     parse_rational,
     point_in_convex_polygon,
-    polygon_area2,
     segments_cross,
-    vsub,
 )
 from .linalg import rank as mat_rank
 from .lp import LinearSystem
@@ -401,13 +398,18 @@ def _seed_triangulation(config: PointConfig) -> Cells:
     return tuple(sorted(cells))
 
 
+def _require_generic(config: PointConfig) -> None:
+    """Raise DegenerateConfig naming the first collinear triple, if any."""
+    rep = check_genericity(config)
+    if not rep:
+        raise DegenerateConfig(f"collinear points {list(rep.violations[0][1:])}")
+
+
 def _flip_graph(config: PointConfig) -> Dict[Cells, List[Cells]]:
     """Every triangulation with its bistellar neighbours, by breadth-first
     search from the placing triangulation.  A collinear triple raises
     DegenerateConfig."""
-    rep = check_genericity(config)
-    if not rep:
-        raise DegenerateConfig(f"collinear points {list(rep.violations[0][1:])}")
+    _require_generic(config)
     start = _seed_triangulation(config)
     graph: Dict[Cells, List[Cells]] = {}
     seen = {start}
@@ -430,64 +432,73 @@ def enumerate_triangulations(config: PointConfig) -> List[Cells]:
 
 
 def brute_force_triangulations(config: PointConfig) -> List[Cells]:
-    """Direct enumeration, independent of the flip search: grow triangles over
-    the lexicographically smallest uncovered boundary edge."""
+    """Every triangulation, independent of the flip search: cells of three
+    vertices grown over the lexicographically smallest uncovered boundary
+    edge (see _tilings).  A collinear triple raises DegenerateConfig."""
+    return _tilings(config, 3)
+
+
+def _tilings(config: PointConfig, max_cell: int) -> List[Cells]:
+    """Every subdivision whose cells have at most max_cell vertices (De
+    Loera, Rambau and Santos, Triangulations, 2010).  For each set of used
+    interior points, the uncovered region is kept as its directed boundary
+    edges, region on the left; a cell is grown over the lexicographically
+    smallest one (a, b) from a, b and used points strictly left of ab.  The
+    cell must be strictly convex with no other used point in it or on it,
+    and no boundary edge may cross one of its sides or lie along one of its
+    diagonals.  A collinear triple raises DegenerateConfig."""
+    _require_generic(config)
     hull = convex_hull(config)
     if len(hull) < 3:
         raise SubdivisionError("configuration is degenerate")
+    pts = config.coords
     interior = [l for l in config.labels if l not in hull]
-    results: List[Cells] = []
-    for r in range(len(interior) + 1):
-        for extra in combinations(interior, r):
-            results.extend(_triangulations_using_all(config, hull, list(extra)))
-    return sorted(set(results))
-
-
-def _triangulations_using_all(config: PointConfig, hull: List[str],
-                              extra: List[str]) -> List[Cells]:
-    labels = hull + extra
-    pts = {l: config.point(l) for l in labels}
     start = frozenset((hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull)))
-    out: List[Cells] = []
+    out = set()
 
-    def rec(boundary: FrozenSet[Tuple[str, str]], cells: Tuple[Cell, ...]) -> None:
+    def grow(labels: List[str], boundary: FrozenSet[Tuple[str, str]],
+             cells: Tuple[Cell, ...]) -> None:
         if not boundary:
-            out.append(tuple(sorted(cells)))
+            out.add(tuple(sorted(cells)))
             return
         a, b = min(boundary)
-        for c in labels:
-            if c in (a, b) or orient(pts[a], pts[b], pts[c]) != 1:
-                continue
-            tri_pts = [pts[a], pts[b], pts[c]]
-            if any(point_in_convex_polygon(pts[d], tri_pts) > 0
-                   for d in labels if d not in (a, b, c)):
-                continue
-            # a triangle edge may coincide with a boundary edge (cancellation),
-            # so only distinct segments count as crossings
-            blocked = False
-            for u, v in boundary:
-                uv = {u, v}
-                if uv != {a, c} and segments_cross(pts[u], pts[v], pts[a], pts[c]):
-                    blocked = True
-                    break
-                if uv != {b, c} and segments_cross(pts[u], pts[v], pts[b], pts[c]):
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            nb = set(boundary)
-            nb.remove((a, b))
-            for u, v in ((b, c), (c, a)):
-                if (u, v) in nb:
-                    nb.remove((u, v))
-                else:
-                    if (v, u) in nb:  # region on both sides of an edge: impossible bite
-                        raise SubdivisionError("inconsistent region boundary")
-                    nb.add((v, u))
-            rec(frozenset(nb), cells + (normalize_cell(config, (a, b, c)),))
+        left = [c for c in labels if orient(pts[a], pts[b], pts[c]) > 0]
+        for r in range(1, min(max_cell - 2, len(left)) + 1):
+            for extra in combinations(left, r):
+                cell = tuple(convex_hull(config.subconfig((a, b) + extra)))
+                if len(cell) != r + 2:
+                    continue
+                poly = [pts[l] for l in cell]
+                if any(point_in_convex_polygon(pts[d], poly)
+                       for d in left if d not in extra):
+                    continue
+                sides = [(cell[i], cell[(i + 1) % len(cell)])
+                         for i in range(len(cell))]
+                # a boundary edge may coincide with a side (the two cancel),
+                # but may not run along a diagonal or cross a side
+                if any((u, v) not in sides and (v, u) not in sides and (
+                        u in cell and v in cell or any(
+                            segments_cross(pts[u], pts[v], pts[s], pts[t])
+                            for s, t in sides if (s, t) != (a, b)))
+                       for u, v in boundary):
+                    continue
+                nb = set(boundary)
+                for u, v in sides:
+                    if (u, v) in nb:
+                        nb.remove((u, v))
+                    else:
+                        if (v, u) in nb:  # region on both sides of an edge: impossible bite
+                            raise SubdivisionError("inconsistent region boundary")
+                        nb.add((v, u))
+                # a cell vertex off the new boundary is closed: covered all round
+                ends = {l for e in nb for l in e}
+                grow([l for l in labels if l not in cell or l in ends],
+                     frozenset(nb), cells + (cell,))
 
-    rec(start, ())
-    return out
+    for r in range(len(interior) + 1):
+        for extra in combinations(interior, r):
+            grow(hull + list(extra), start, ())
+    return sorted(out)
 
 
 def regular_triangulations(config: PointConfig) -> List[Cells]:
@@ -545,105 +556,9 @@ def secondary_polytope(config: PointConfig) -> SecondaryPolytope:
 
 def enumerate_subdivisions(config: PointConfig) -> List[Cells]:
     """Every polyhedral subdivision (cells strictly convex, vertices in the
-    configuration), enumerated over non-crossing edge subsets."""
-    hull = convex_hull(config)
-    if len(hull) < 3:
-        raise SubdivisionError("configuration is degenerate")
-    labels = config.labels
-    hull_edges = {frozenset((hull[i], hull[(i + 1) % len(hull)]))
-                  for i in range(len(hull))}
-    candidates = []
-    for a, b in combinations(labels, 2):
-        if frozenset((a, b)) in hull_edges:
-            continue
-        # skip segments with a third point on them (non-generic configs)
-        if any(point_in_convex_polygon(config.point(c),
-                                       [config.point(a), config.point(b)]) == 1
-               for c in labels if c not in (a, b)):
-            continue
-        candidates.append((a, b))
-    crossing = {}
-    for i, e in enumerate(candidates):
-        for j in range(i + 1, len(candidates)):
-            f = candidates[j]
-            if segments_cross(config.point(e[0]), config.point(e[1]),
-                              config.point(f[0]), config.point(f[1])):
-                crossing.setdefault(i, set()).add(j)
-                crossing.setdefault(j, set()).add(i)
-    base = [tuple(sorted(e)) for e in
-            ((hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull)))]
-    results = set()
-    for mask in range(1 << len(candidates)):
-        chosen = [i for i in range(len(candidates)) if mask >> i & 1]
-        ok = True
-        for i in chosen:
-            if crossing.get(i) and any(j in crossing[i] for j in chosen):
-                ok = False
-                break
-        if not ok:
-            continue
-        edges = base + [candidates[i] for i in chosen]
-        cells = _faces_of_edge_set(config, edges)
-        if cells is not None:
-            results.add(cells)
-    return sorted(results)
-
-
-def _faces_of_edge_set(config: PointConfig, edges: List[Tuple[str, str]]) -> Optional[Cells]:
-    """Bounded faces of the planar graph, or None unless they are all strictly
-    convex and tile the hull."""
-    nbrs: Dict[str, List[str]] = {}
-    for a, b in edges:
-        nbrs.setdefault(a, []).append(b)
-        nbrs.setdefault(b, []).append(a)
-    order = {}
-    for v, ns in nbrs.items():
-        pv = config.point(v)
-        ordered = angle_sorted((vsub(config.point(w), pv), w) for w in ns)
-        order[v] = [w for _, w in ordered]
-    succ = {}
-    for a, b in edges:
-        for u, v in ((a, b), (b, a)):
-            ring = order[v]
-            k = ring.index(u)
-            succ[(u, v)] = (v, ring[k - 1])  # next edge ccw around the face
-    faces = []
-    remaining = set(succ)
-    while remaining:
-        e = remaining.pop()
-        walk = [e]
-        cur = succ[e]
-        while cur != e:
-            remaining.discard(cur)
-            walk.append(cur)
-            cur = succ[cur]
-        faces.append([u for u, _ in walk])
-    hull_vol = normvol(cell_points(config, convex_hull(config)))
-    cells = []
-    outer = 0
-    total = Fraction(0)
-    for face in faces:
-        poly = cell_points(config, face)
-        area2 = polygon_area2(poly)
-        if area2 <= 0:
-            outer += 1
-            if -area2 != hull_vol:
-                return None
-            continue
-        if len(set(face)) != len(face):
-            return None
-        n = len(face)
-        if any(orient(poly[i], poly[(i + 1) % n], poly[(i + 2) % n]) != 1
-               for i in range(n)):
-            return None
-        total += area2
-        cells.append(tuple(face))
-    if outer != 1 or total != hull_vol:
-        return None
-    try:
-        return validate_subdivision(config, cells)
-    except InvalidSubdivision:
-        return None
+    configuration), grown cell by cell as in brute_force_triangulations.  A
+    collinear triple raises DegenerateConfig."""
+    return _tilings(config, len(config))
 
 
 def enumerate_marked_subdivisions(config: PointConfig) -> List[MarkedSubdivision]:

@@ -189,6 +189,17 @@ def test_triangulations_pentagon(pentagon):
     assert json.loads(out)["count"] == 5
 
 
+def test_usage_error_leaves_the_parser_reusable(pentagon):
+    # one parser serves every call in the process
+    _, path = pentagon
+    first = invoke("triangulations", "--config", path)
+    bad = invoke("triangulations", "--config", path, "--bogus")
+    assert bad[0] == 2 and bad[1] == b"" and b"usage error" in bad[2]
+    assert invoke("triangulations") == (2, b"", invoke("triangulations")[2])
+    assert invoke("triangulations", "--config", path) == first
+    assert first[0] == 0
+
+
 def test_paths_subcommand(md):
     _, path = md
     code, out, _ = invoke("paths", "--config", path, "--zeta", "0,1",

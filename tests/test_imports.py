@@ -1,0 +1,36 @@
+"""Every module-level import in the package is used, read off the syntax tree."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "air"
+
+
+def _unused_imports(tree: ast.Module):
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:  # names re-exported through __all__
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_an_unused_import_is_reported():
+    tree = ast.parse("import os, sys\nfrom json import dumps as d, loads\n"
+                     "print(sys.argv, loads)\n")
+    assert _unused_imports(tree) == [(1, "os"), (2, "d")]

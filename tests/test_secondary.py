@@ -208,14 +208,32 @@ def test_flip_search_does_not_lift(monkeypatch):
      "'A', 'x', 'y'"),
 ])
 def test_flip_search_rejects_a_collinear_triple(items, triple):
-    with pytest.raises(DegenerateConfig, match=triple):
-        enumerate_triangulations(PointConfig.of(items))
+    # the brute-force enumerators make the same check as the flip search
+    for enumerate_ in (enumerate_triangulations, brute_force_triangulations,
+                       enumerate_subdivisions):
+        with pytest.raises(DegenerateConfig, match=triple):
+            enumerate_(PointConfig.of(items))
 
 
 def test_enumerate_subdivisions_counts():
     assert len(enumerate_subdivisions(SQUARE)) == 3  # trivial + 2 triangulations
     assert len(enumerate_subdivisions(TRI_P)) == 2   # trivial + star
     assert len(enumerate_subdivisions(PENTAGON)) == 11  # 1 + 5 diagonals + 5
+    # convex n-gons: the little Schroeder numbers
+    rng = random.Random(24)
+    for n, count in zip(range(3, 8), (1, 3, 11, 45, 197)):
+        assert len(enumerate_subdivisions(_parabola_config(rng, n))) == count
+
+
+def test_subdivisions_are_valid_distinct_and_contain_the_triangulations():
+    rng = random.Random(25)
+    cfgs = [MOA] + [random_generic_config(rng, n) for n in (4, 4, 5, 5, 6, 6)]
+    for cfg in cfgs:
+        subs = enumerate_subdivisions(cfg)
+        assert all(validate_subdivision(cfg, s) == s for s in subs)
+        assert len(set(subs)) == len(subs)
+        assert [s for s in subs if is_triangulation(s)] == \
+            enumerate_triangulations(cfg)
 
 
 def test_marked_regularity():
