@@ -1,12 +1,19 @@
 """Exact rational plane geometry: points, directions, labelled configurations.
 
-Everything here is computed over `fractions.Fraction`; there are no floats and
-no epsilons.  All downstream combinatorics (hulls, triangulations, path
-convexity, Stokes data) reduce to the sign predicates in this module, so the
-predicates are kept deliberately small and auditable.  A sign is the sign of
-an integer determinant of homogeneous coordinates (x*d, y*d, d), d the
-product of the denominators, so `orient` runs on Python ints and never
-builds a Fraction; every value this module returns stays a Fraction.
+Everything here is exact; there are no floats and no epsilons.  All
+downstream combinatorics (hulls, triangulations, path convexity, Stokes data)
+reduce to the sign predicates in this module, so the predicates are kept
+deliberately small and auditable.
+
+The grid convention: a PointConfig clears its denominators once, when it is
+built.  `scale` is the lcm of its coordinate denominators and
+`grid[l] = coords[l] * scale` is a pair of Python ints.  A positive scale
+keeps every sign and the lexicographic order, so hulls, turn tests and
+point-in-polygon tests read grid pairs, and areas on the grid are integers
+scale**2 times the rational ones.  Values that are emitted stay Fractions:
+a grid quantity of degree k is divided by scale**k where it leaves.  `orient`
+takes grid pairs (one integer cross product) or rational points (the sign of
+an integer determinant of homogeneous coordinates), never floats.
 
 Conventions used throughout the package:
 
@@ -22,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, NamedTuple
 
 
@@ -84,19 +91,24 @@ def sign(q) -> int:
 def orient(p: Point, q: Point, r: Point) -> int:
     """Orientation of the triple: +1 counterclockwise, -1 clockwise, 0 collinear.
 
-    The sign of the integer determinant with rows (x*d, y*d, d), the
+    On grid pairs of ints this is the sign of one cross product.  Otherwise
+    it is the sign of the integer determinant with rows (x*d, y*d, d), the
     homogeneous coordinates of p, q, r with d = den(x)*den(y) > 0.  Scaling
     a row by a positive weight keeps the sign, so this is the sign of
     cross(q - p, r - p) for any rationals.  A float coordinate has no
     numerator and raises AttributeError instead of rounding.
     """
-    rows = []
-    for x, y in (p, q, r):
-        a, b = x.denominator, y.denominator
-        rows.append((x.numerator * b, y.numerator * a, a * b))
-    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = rows
-    det = (w1 * (x2 * y3 - x3 * y2) + w2 * (x3 * y1 - x1 * y3)
-           + w3 * (x1 * y2 - x2 * y1))
+    (x1, y1), (x2, y2), (x3, y3) = p, q, r
+    if int is type(x1) is type(y1) is type(x2) is type(y2) is type(x3) is type(y3):
+        det = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    else:
+        rows = []
+        for x, y in (p, q, r):
+            a, b = x.denominator, y.denominator
+            rows.append((x.numerator * b, y.numerator * a, a * b))
+        (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = rows
+        det = (w1 * (x2 * y3 - x3 * y2) + w2 * (x3 * y1 - x1 * y3)
+               + w3 * (x1 * y2 - x2 * y1))
     return sign(det)
 
 
@@ -174,10 +186,17 @@ def angle_sorted(vectors: Iterable) -> list:
 
 @dataclass
 class PointConfig:
-    """An ordered, labelled configuration of distinct rational points."""
+    """An ordered, labelled configuration of distinct rational points.
+
+    `scale` (the lcm of the coordinate denominators) and `grid` (label ->
+    coordinates times scale, as ints) are derived when the configuration is
+    built; see the module docstring.
+    """
 
     labels: List[str]
     coords: Dict[str, Point] = field(default_factory=dict)
+    scale: int = field(init=False, compare=False, repr=False)
+    grid: Dict[str, Tuple[int, int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
@@ -188,6 +207,17 @@ class PointConfig:
         pts = [self.coords[l] for l in self.labels]
         if len(set(pts)) != len(pts):
             raise GeometryError("coincident points in configuration")
+        scale = 1
+        for l, (x, y) in zip(self.labels, pts):
+            try:
+                scale = lcm(scale, x.denominator, y.denominator)
+            except (AttributeError, TypeError) as exc:
+                raise GeometryError(f"point {l!r} has a coordinate that is not "
+                                    f"rational: {(x, y)!r}") from exc
+        self.scale = scale
+        self.grid = {l: (x.numerator * (scale // x.denominator),
+                         y.numerator * (scale // y.denominator))
+                     for l, (x, y) in zip(self.labels, pts)}
 
     @staticmethod
     def of(items: Sequence[Tuple[str, object, object]]) -> "PointConfig":
@@ -249,14 +279,23 @@ def convex_hull(config: PointConfig) -> List[str]:
     """Labels of the convex hull, counterclockwise from the lexicographically
     smallest point.  A fully collinear configuration yields its two extreme
     points; a single point yields itself."""
-    items = sorted(((config.coords[l], l) for l in config.labels))
-    if len(items) == 1:
-        return [items[0][1]]
-    if len(items) == 2:
-        return [items[0][1], items[1][1]]
+    return hull_labels(config, config.labels)
+
+
+def hull_labels(config: PointConfig, labels: Iterable[str]) -> List[str]:
+    """convex_hull of the points of config named by labels, read on the grid
+    without building a sub-configuration."""
+    g = config.grid
+    items = sorted((g[l], l) for l in labels)
+    if len(items) <= 2:
+        return [l for (_, l) in items]
+    if len(items) == 3:  # one turn test puts a triangle in ccw order
+        (a, la), (b, lb), (c, lc) = items
+        o = orient(a, b, c)
+        return [la, lb, lc] if o > 0 else [la, lc, lb] if o < 0 else [la, lc]
 
     def build(seq):
-        out: List[Tuple[Point, str]] = []
+        out: List[Tuple[Tuple[int, int], str]] = []
         for item in seq:
             while len(out) >= 2 and orient(out[-2][0], out[-1][0], item[0]) <= 0:
                 out.pop()
@@ -320,8 +359,9 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 
 def polygon_area2(poly: Sequence[Point]) -> Fraction:
-    """Twice the signed area of a polygon (positive if counterclockwise)."""
-    s = Fraction(0)
+    """Twice the signed area of a polygon (positive if counterclockwise): an
+    int on grid pairs, a Fraction on rational points."""
+    s = 0
     n = len(poly)
     for i in range(n):
         p, q = poly[i], poly[(i + 1) % n]
@@ -351,20 +391,22 @@ def check_genericity(config: PointConfig, zeta: Optional[Vec] = None) -> Generic
     is parallel to zeta.
     """
     labels = config.labels
+    g = config.grid
     viol: List[tuple] = []
     n = len(labels)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 a, b, c = labels[i], labels[j], labels[k]
-                if orient(config.coords[a], config.coords[b], config.coords[c]) == 0:
+                if orient(g[a], g[b], g[c]) == 0:
                     viol.append(("collinear", a, b, c))
     if zeta is not None:
-        r = rho(zeta)
+        r = Direction.of(*rho(zeta))  # rho(zeta) as a primitive int vector
         for i in range(n):
             for j in range(i + 1, n):
                 a, b = labels[i], labels[j]
-                d = vsub(config.coords[b], config.coords[a])
-                if dot(d, r) == 0:  # difference parallel to zeta <=> projection tie
+                d = vsub(g[b], g[a])
+                if d[0] * r.dx + d[1] * r.dy == 0:
+                    # difference parallel to zeta <=> projection tie
                     viol.append(("zeta_parallel_difference", a, b))
     return GenericityReport(ok=not viol, violations=viol)

@@ -38,10 +38,8 @@ from .exactgeom import (
     Point,
     PointConfig,
     cross,
-    dot,
     orient,
     pt,
-    rho,
     vsub,
 )
 from .infrared import NonGenericZeta, _frame, _right_turn_chains
@@ -482,12 +480,13 @@ def _far_bound(config: PointConfig, eta: Direction) -> Fraction:
 def _extended_at(config: PointConfig, eta: Direction, M: Fraction
                  ) -> List[ExtendedTriangulation]:
     """Extended triangulations with the far point at M*eta, M >= _far_bound."""
-    p = _far_point(eta, M)
-    ext = config.with_point(INF, p)
-    r = rho(eta.vec())
+    ext = config.with_point(INF, _far_point(eta, M))
+    g = ext.grid
+    p = g[INF]
 
-    def height(cell: Cell) -> Fraction:  # <a + b, rho(eta)>
-        return dot(ext.point(cell[1]), r) + dot(ext.point(cell[2]), r)
+    def height(cell: Cell) -> int:  # <a + b, rho(eta)>, on the grid
+        (ax, ay), (bx, by) = g[cell[1]], g[cell[2]]
+        return eta.dx * (ay + by) - eta.dy * (ax + bx)
 
     out = []
     for tri in enumerate_triangulations(ext):
@@ -496,7 +495,7 @@ def _extended_at(config: PointConfig, eta: Direction, M: Fraction
         for c in tri:
             if INF in c:
                 a, b = [l for l in c if l != INF]
-                if orient(p, ext.point(a), ext.point(b)) < 0:
+                if orient(p, g[a], g[b]) < 0:
                     a, b = b, a
                 inf_cells.append((INF, a, b))
             else:

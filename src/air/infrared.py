@@ -112,7 +112,7 @@ def _right_turn_chains(config: PointConfig, frame: _Frame, src: str,
     """Every chain from src, strictly increasing in the frame order and no
     further than last, that turns right at each interior vertex; depth
     first, the one-point chain (src,) first."""
-    order, rank, pts = frame.order, frame.rank, config.coords
+    order, rank, pts = frame.order, frame.rank, config.grid
     chain = [src]
 
     def extend() -> Iterator[Tuple[str, ...]]:
@@ -142,7 +142,7 @@ def _is_convex_path(config: PointConfig, fr: _Frame,
         return False
     if any(fr.rank[a] >= fr.rank[b] for a, b in zip(seq, seq[1:])):
         return False  # the order is by projection, so every edge goes forward
-    pts = config.coords
+    pts = config.grid
     return all(orient(pts[a], pts[b], pts[c]) < 0
                for a, b, c in zip(seq, seq[1:], seq[2:]))
 
@@ -288,7 +288,7 @@ def stokes_matrix(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
     order = _frame(config, zeta).order
     dims = md.phi_dims
     n = len(order)
-    pts = config.coords
+    pts = config.grid
     # (a, b) -> the labels c after b at which a -> b -> c turns right
     turns = {(order[x], order[y]): [c for c in order[y + 1:]
                                     if orient(pts[order[x]], pts[order[y]],

@@ -26,6 +26,14 @@ rows go to the Fourier-Motzkin solver, and the witness heights it returns
 reproduce the subdivision on lift.  The lift itself (lift_marked_subdivision)
 reads its lower faces from the same plane row as the regularity rows.
 
+Geometry runs on the configuration's integer grid (exactgeom): hulls,
+point-in-cell tests and turn tests read grid pairs, cell areas are integers
+scale**2 times the rational ones, and plane rows have integer coefficients
+scale**2 times the rational ones.  A row is only ever compared with 0 or
+handed to the solver, which divides it by its leading coefficient, so the
+decisions and the witness heights are those of the rational rows.  GKZ
+vectors are divided by scale**2 where they are returned.
+
 The standing assumption throughout is a generic configuration (no three points
 collinear, see exactgeom.check_genericity); validation is complete under that
 assumption and best-effort otherwise.
@@ -41,11 +49,10 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .exactgeom import (
     DegenerateConfig,
-    GeometryError,
-    Point,
     PointConfig,
     check_genericity,
     convex_hull,
+    hull_labels,
     normvol,
     orient,
     parse_rational,
@@ -75,10 +82,6 @@ class NotRegular(SubdivisionError):
     pass
 
 
-def cell_points(config: PointConfig, cell: Sequence[str]) -> List[Point]:
-    return [config.point(l) for l in cell]
-
-
 def normalize_cell(config: PointConfig, labels: Iterable[str]) -> Cell:
     """Canonical form of a cell: ccw from the lex-smallest point.
 
@@ -88,11 +91,10 @@ def normalize_cell(config: PointConfig, labels: Iterable[str]) -> Cell:
     labs = list(dict.fromkeys(labels))
     if len(labs) < 3:
         raise InvalidSubdivision(f"cell {labs} has fewer than 3 points")
-    try:
-        sub = config.subconfig(labs)
-    except GeometryError as exc:
-        raise InvalidSubdivision(str(exc)) from exc
-    hull = convex_hull(sub)
+    unknown = set(labs).difference(config.grid)
+    if unknown:
+        raise InvalidSubdivision(f"unknown labels: {sorted(unknown)}")
+    hull = hull_labels(config, labs)
     if len(hull) != len(labs):
         raise InvalidSubdivision(f"cell {sorted(labs)} is not strictly convex")
     return tuple(hull)
@@ -123,8 +125,9 @@ def validate_subdivision(config: PointConfig, cells: Iterable[Iterable[str]]) ->
     for e in hull_edges:
         if e not in directed:
             raise InvalidSubdivision(f"hull edge {e} not covered")
-    total = sum(normvol(cell_points(config, cell)) for cell in norm)
-    if total != normvol(cell_points(config, hull)):
+    g = config.grid
+    total = sum(normvol([g[l] for l in cell]) for cell in norm)
+    if total != normvol([g[l] for l in hull]):
         raise InvalidSubdivision("cells do not tile the hull")
     return tuple(norm)
 
@@ -147,16 +150,18 @@ class MarkedSubdivision:
 # -- lifting ------------------------------------------------------------------
 
 
-def _plane_row(coords: Dict[str, Point], index: Dict[str, int], cell: Cell,
-               s: str) -> List[Fraction]:
+def _plane_row(grid: Dict[str, Tuple[int, int]], index: Dict[str, int],
+               cell: Cell, s: str) -> List[int]:
     """The row of point s against the plane through the lifted ccw base
     (a, b, c) = cell[:3]: with D = cross(b - a, c - a) > 0, its dot product
     with the heights is D * (plane(s) - h_s), which is 0 when s is a base
     vertex.  Each coefficient of a base vertex is a cross product of the
-    other two seen from s, so no 3x3 system is solved."""
-    (ax, ay), (bx, by), (cx, cy) = (coords[l] for l in cell[:3])
-    sx, sy = coords[s]
-    r = [Fraction(0)] * len(index)
+    other two seen from s, so no 3x3 system is solved.  On grid pairs the
+    row is integer, scale**2 times the rational row: the same signs, and the
+    same row once the solver divides by its leading coefficient."""
+    (ax, ay), (bx, by), (cx, cy) = (grid[l] for l in cell[:3])
+    sx, sy = grid[s]
+    r = [0] * len(index)
     r[index[cell[0]]] = (bx - sx) * (cy - sy) - (by - sy) * (cx - sx)
     r[index[cell[1]]] = (cx - sx) * (ay - sy) - (cy - sy) * (ax - sx)
     r[index[cell[2]]] = (ax - sx) * (by - sy) - (ay - sy) * (bx - sx)
@@ -166,16 +171,16 @@ def _plane_row(coords: Dict[str, Point], index: Dict[str, int], cell: Cell,
 
 def _lower_faces(config: PointConfig, heights: Dict[str, Fraction]) -> List[FrozenSet[str]]:
     labels = config.labels
-    coords = config.coords
+    g = config.grid
     index = {l: i for i, l in enumerate(labels)}
     h = [parse_rational(heights[l]) for l in labels]
     faces = set()
     for a, b, c in combinations(labels, 3):
-        o = orient(coords[a], coords[b], coords[c])
+        o = orient(g[a], g[b], g[c])
         if o == 0:  # collinear base triple
             continue
         base = (a, b, c) if o > 0 else (a, c, b)
-        vals = [sum(x * y for x, y in zip(_plane_row(coords, index, base, s), h)
+        vals = [sum(x * y for x, y in zip(_plane_row(g, index, base, s), h)
                     if x)
                 for s in labels]
         if any(v > 0 for v in vals):  # the plane passes above a lifted point
@@ -191,7 +196,8 @@ def lift_marked_subdivision(config: PointConfig, heights: Dict[str, Fraction]) -
         raise SubdivisionError(f"heights missing for labels: {missing}")
     items = []
     for face in _lower_faces(config, heights):
-        cell = normalize_cell(config, convex_hull(config.subconfig(face)))
+        # a lower face holds a non-collinear triple, so its hull is a cell
+        cell = tuple(hull_labels(config, face))
         items.append((cell, tuple(sorted(face))))
     items.sort()
     cells = tuple(c for c, _ in items)
@@ -228,13 +234,13 @@ def _regular_heights(config: PointConfig, cells: Cells,
     it.
     """
     index = {l: i for i, l in enumerate(config.labels)}
-    coords = config.coords
+    g = config.grid
     sys = LinearSystem(len(index))
 
     owner: Dict[Tuple[str, str], Cell] = {}
     for cell, mk in zip(cells, marks):
         for s in sorted(mk.difference(cell[:3]), key=index.__getitem__):
-            sys.add_eq(_plane_row(coords, index, cell, s), 0)
+            sys.add_eq(_plane_row(g, index, cell, s), 0)
         for i in range(len(cell)):
             owner[(cell[i], cell[(i + 1) % len(cell)])] = cell
     for (a, b), cell in owner.items():
@@ -242,15 +248,15 @@ def _regular_heights(config: PointConfig, cells: Cells,
         if other is not None and a < b:
             # cells are strictly convex, so no other vertex lies on line ab
             v = next(l for l in other if l != a and l != b)
-            sys.add_lt(_plane_row(coords, index, cell, v), 0)
+            sys.add_lt(_plane_row(g, index, cell, v), 0)
     used = {l for cell in cells for l in cell}
     for s in config.labels:
         if s in used:
             continue
         for cell, mk in zip(cells, marks):
-            where = point_in_convex_polygon(coords[s], cell_points(config, cell))
+            where = point_in_convex_polygon(g[s], [g[l] for l in cell])
             if where and s not in mk:
-                r = _plane_row(coords, index, cell, s)
+                r = _plane_row(g, index, cell, s)
                 if strict_inside:
                     sys.add_lt(r, 0)
                 else:
@@ -287,9 +293,9 @@ def marked_is_regular(config: PointConfig, msub: MarkedSubdivision) -> Regularit
                                      f"{sorted(unknown)}")
         if not mk.issuperset(cell):
             raise InvalidSubdivision(f"marks of cell {cell} omit a vertex")
-        poly = cell_points(config, cell)
+        poly = [config.grid[l] for l in cell]
         for s in mk.difference(cell):
-            if point_in_convex_polygon(config.point(s), poly) == 0:
+            if point_in_convex_polygon(config.grid[s], poly) == 0:
                 raise InvalidSubdivision(f"marked point {s} lies outside cell {cell}")
     heights = _regular_heights(config, norm, marks, strict_inside=True)
     return RegularityWitness(heights is not None, heights)
@@ -305,8 +311,8 @@ def _flip_core(config: PointConfig, tri: Cells, edge: Tuple[str, str]) -> Cells:
         raise NotFlippable(f"edge ({a},{b}) is not an interior edge of the triangulation")
     c1 = next(l for l in inc[0] if l not in (a, b))
     c2 = next(l for l in inc[1] if l not in (a, b))
-    if not segments_cross(config.point(a), config.point(b),
-                          config.point(c1), config.point(c2)):
+    g = config.grid
+    if not segments_cross(g[a], g[b], g[c1], g[c2]):
         raise NotFlippable(f"quadrilateral around edge ({a},{b}) is not convex")
     rest = [c for c in tri if c not in inc]
     rest.append(normalize_cell(config, (a, c1, c2)))
@@ -328,8 +334,10 @@ def flip(config: PointConfig, cells: Iterable[Iterable[str]], edge: Sequence[str
     return _flip_core(config, tri, (a, b))
 
 
-def _neighbors(config: PointConfig, tri: Cells) -> List[Cells]:
-    """All triangulations one bistellar move away (diagonal, insert, remove)."""
+def _neighbors(config: PointConfig, hull: FrozenSet[str],
+               tri: Cells) -> List[Cells]:
+    """All triangulations one bistellar move away (diagonal, insert, remove);
+    hull is the set of hull vertices of the configuration."""
     out = set()
     seen_edges = set()
     for cell in tri:
@@ -343,18 +351,17 @@ def _neighbors(config: PointConfig, tri: Cells) -> List[Cells]:
             except NotFlippable:
                 pass
     used = {l for c in tri for l in c}
+    g = config.grid
     for p in config.labels:
         if p in used:
             continue
-        pp = config.point(p)
         for cell in tri:
-            if point_in_convex_polygon(pp, cell_points(config, cell)) == 2:
+            if point_in_convex_polygon(g[p], [g[l] for l in cell]) == 2:
                 rest = [c for c in tri if c != cell]
                 for i in range(3):
                     rest.append(normalize_cell(config, (p, cell[i], cell[(i + 1) % 3])))
                 out.add(tuple(sorted(rest)))
                 break
-    hull = set(convex_hull(config))
     incident: Dict[str, List[Cell]] = {}
     for c in tri:
         for l in c:
@@ -377,7 +384,7 @@ def _seed_triangulation(config: PointConfig) -> Cells:
     2010, section 4.3): insert the points in lexicographic order and join
     each new point to the hull edges it sees.  It is regular and uses every
     point; the configuration must be generic."""
-    items = sorted((config.point(l), l) for l in config.labels)
+    items = sorted((config.grid[l], l) for l in config.labels)
     if len(items) < 3:
         raise SubdivisionError("configuration is degenerate")
     (a, la), (b, lb), (c, lc) = items[:3]
@@ -387,7 +394,7 @@ def _seed_triangulation(config: PointConfig) -> Cells:
         # p is lexicographically last so far, hence outside the hull, and the
         # edges it sees form one chain; rotate the hull to start the chain
         n = len(hull)
-        sees = [orient(config.point(hull[i]), config.point(hull[(i + 1) % n]),
+        sees = [orient(config.grid[hull[i]], config.grid[hull[(i + 1) % n]],
                        p) < 0 for i in range(n)]
         k = next(i for i in range(n) if sees[i] and not sees[i - 1])
         hull, sees = hull[k:] + hull[:k], sees[k:] + sees[:k]
@@ -411,12 +418,13 @@ def _flip_graph(config: PointConfig) -> Dict[Cells, List[Cells]]:
     DegenerateConfig."""
     _require_generic(config)
     start = _seed_triangulation(config)
+    hull = frozenset(convex_hull(config))
     graph: Dict[Cells, List[Cells]] = {}
     seen = {start}
     queue = deque([start])
     while queue:
         t = queue.popleft()
-        graph[t] = _neighbors(config, t)
+        graph[t] = _neighbors(config, hull, t)
         for nb in graph[t]:
             if nb not in seen:
                 seen.add(nb)
@@ -451,7 +459,7 @@ def _tilings(config: PointConfig, max_cell: int) -> List[Cells]:
     hull = convex_hull(config)
     if len(hull) < 3:
         raise SubdivisionError("configuration is degenerate")
-    pts = config.coords
+    pts = config.grid
     interior = [l for l in config.labels if l not in hull]
     start = frozenset((hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull)))
     out = set()
@@ -465,7 +473,7 @@ def _tilings(config: PointConfig, max_cell: int) -> List[Cells]:
         left = [c for c in labels if orient(pts[a], pts[b], pts[c]) > 0]
         for r in range(1, min(max_cell - 2, len(left)) + 1):
             for extra in combinations(left, r):
-                cell = tuple(convex_hull(config.subconfig((a, b) + extra)))
+                cell = tuple(hull_labels(config, (a, b) + extra))
                 if len(cell) != r + 2:
                     continue
                 poly = [pts[l] for l in cell]
@@ -509,13 +517,16 @@ def regular_triangulations(config: PointConfig) -> List[Cells]:
 
 
 def gkz_vector(config: PointConfig, cells: Cells) -> Tuple[Fraction, ...]:
-    """Per point, the total normalized volume of its incident cells."""
-    vol = {l: Fraction(0) for l in config.labels}
+    """Per point, the total normalized volume of its incident cells: summed
+    as integer areas on the grid, then divided by scale**2."""
+    g = config.grid
+    vol = dict.fromkeys(config.labels, 0)
     for cell in cells:
-        v = normvol(cell_points(config, cell))
+        v = normvol([g[l] for l in cell])
         for l in cell:
             vol[l] += v
-    return tuple(vol[l] for l in config.labels)
+    s2 = config.scale ** 2
+    return tuple(Fraction(vol[l], s2) for l in config.labels)
 
 
 def _affine_rank(vectors: Sequence[Tuple[Fraction, ...]]) -> int:
@@ -566,9 +577,9 @@ def enumerate_marked_subdivisions(config: PointConfig) -> List[MarkedSubdivision
     for cells in enumerate_subdivisions(config):
         choices: List[List[Tuple[str, ...]]] = []
         for cell in cells:
-            poly = cell_points(config, cell)
+            poly = [config.grid[l] for l in cell]
             inside = [p for p in config.labels if p not in cell
-                      and point_in_convex_polygon(config.point(p), poly) == 2]
+                      and point_in_convex_polygon(config.grid[p], poly) == 2]
             per_cell = []
             for r in range(len(inside) + 1):
                 for chosen in combinations(inside, r):
@@ -667,11 +678,12 @@ def face_factorization(config: PointConfig, cells: Iterable[Iterable[str]]) -> F
     norm = validate_subdivision(config, cells)
     if not is_regular(config, norm):
         raise NotRegular("subdivision is not regular")
-    polys = [cell_points(config, cell) for cell in norm]
+    grid = config.grid
+    polys = [[grid[l] for l in cell] for cell in norm]
     factors = []
     for cell, poly in zip(norm, polys):
         inside = [l for l in config.labels
-                  if point_in_convex_polygon(config.point(l), poly) > 0]
+                  if point_in_convex_polygon(grid[l], poly) > 0]
         factors.append(config.subconfig(inside))
     factor_tris = [regular_triangulations(f) for f in factors]
     counts = [len(ft) for ft in factor_tris]
@@ -692,11 +704,12 @@ def face_factorization(config: PointConfig, cells: Iterable[Iterable[str]]) -> F
         key = []
         ok = True
         for cell, poly, factor, ft in zip(norm, polys, factors, factor_tris):
+            tripled = [(3 * x, 3 * y) for x, y in poly]
             part = []
             for tri in t:
-                cx = sum(config.point(l).x for l in tri) / 3
-                cy = sum(config.point(l).y for l in tri) / 3
-                if point_in_convex_polygon(Point(cx, cy), poly) == 2:
+                # three times the centroid, against the tripled cell
+                c = (sum(grid[l][0] for l in tri), sum(grid[l][1] for l in tri))
+                if point_in_convex_polygon(c, tripled) == 2:
                     part.append(tri)
             restriction = tuple(sorted(part))
             if restriction not in ft:

@@ -20,7 +20,6 @@ from air.lp import LinearSystem
 from air.secondary import (
     MarkedSubdivision,
     _lower_faces,
-    cell_points,
     enumerate_marked_subdivisions,
     enumerate_subdivisions,
     enumerate_triangulations,
@@ -44,7 +43,7 @@ def _oracle(config, cells, marks, strict_inside):
         base = cell[:3]
         pts = [config.point(l) for l in base]
         m = [[p.x for p in pts], [p.y for p in pts], [Fraction(1)] * 3]
-        poly = cell_points(config, cell)
+        poly = [config.point(l) for l in cell]
         for s in config.labels:
             if s in base:
                 continue
