@@ -11,7 +11,11 @@ mark sets; the differential of any other face generator is the plain cellular
 boundary inside its own secondary polytope.  Orientations come from greedy
 bases of GKZ-vertex differences taken in lexicographic vertex order, incidence
 signs from determinants against an outward vector, and product signs from the
-Koszul rule in sorted-generator order.  d^2 = 0 is checked, never assumed.
+Koszul rule in sorted-generator order.  The GKZ vectors are the integer grid
+sums, scale**2 times the volumes; every vector of one secondary polytope
+carries that one positive factor, so every orientation sign is the one the
+rational vectors give.  Each sign is read from fraction-free eliminations on
+those integers (_orientation_sign).  d^2 = 0 is checked, never assumed.
 
 The A-infinity algebra R has one basis element per infinite polygon: a chain
 of configuration points, strictly increasing in the eta-order and turning
@@ -43,14 +47,14 @@ from .exactgeom import (
     vsub,
 )
 from .infrared import NonGenericZeta, _frame, _right_turn_chains
-from .linalg import Matrix, _reduce, det, mat_mul, solve, transpose, zeros
+from .linalg import Matrix, _reduce, mat_mul, transpose, zeros
 from .secondary import (
     Cells,
     Cell,
     FaceLattice,
     SubdivisionError,
+    _gkz_sum,
     enumerate_triangulations,
-    gkz_vector,
     normalize_cell,
     secondary_face_lattice,
 )
@@ -74,38 +78,19 @@ K_MAX = 4  # the highest arity check_stasheff evaluates
 # -- orientation data ----------------------------------------------------------
 
 
-def _greedy_basis(vectors: Sequence[Tuple[Fraction, ...]]) -> List[Tuple[Fraction, ...]]:
+def _greedy_basis(vectors: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     """Maximal independent subsequence, greedily in the given order: the
     pivot columns of the matrix whose columns are the vectors."""
     _, pivots, _ = _reduce(transpose(list(vectors)), len(vectors))
     return [vectors[c] for c in pivots]
 
 
-def _coords_in(basis: List[Tuple[Fraction, ...]], v: Tuple[Fraction, ...]) -> List[Fraction]:
-    m = [[b[i] for b in basis] for i in range(len(v))]
-    x = solve(m, list(v))
-    if x is None:
-        raise SignInconsistency("vector does not lie in the face's span")
-    return x
-
-
-def _det_sign_of_columns(cols: List[List[Fraction]]) -> int:
-    n = len(cols)
-    if n == 0:
-        return 1
-    m = [[cols[j][i] for j in range(n)] for i in range(n)]
-    d = det(m)
-    if d == 0:
-        raise SignInconsistency("degenerate orientation comparison")
-    return 1 if d > 0 else -1
-
-
 @dataclass
 class _FaceData:
     vertices: Tuple[int, ...]
-    gkz: List[Tuple[Fraction, ...]]
-    basis: List[Tuple[Fraction, ...]]
-    barycenter: Tuple[Fraction, ...]
+    gkz: List[Tuple[int, ...]]        # the vertices' GKZ vectors times scale**2
+    basis: List[Tuple[int, ...]]
+    total: Tuple[int, ...]            # the sum of gkz
     dim: int
 
 
@@ -114,20 +99,49 @@ def _face_data(vertex_ids: Sequence[int], gkz_vectors) -> _FaceData:
     g = [gkz_vectors[i] for i in vs]
     v0 = g[0]
     basis = _greedy_basis([tuple(x - y for x, y in zip(v, v0)) for v in g[1:]])
-    n = len(vs)
-    bary = tuple(sum(v[i] for v in g) / n for i in range(len(v0)))
-    return _FaceData(vs, g, basis, bary, len(basis))
+    total = tuple(map(sum, zip(*g)))
+    return _FaceData(vs, g, basis, total, len(basis))
+
+
+def _orientation_sign(face: _FaceData, cols: List[Sequence[int]],
+                      mismatch: str) -> int:
+    """Sign of det X for the coordinates X of the columns in the face's basis
+    B (B X = cols), from one elimination of [B | cols] over B's columns.  A
+    column off B's span, a column count other than B's size (``mismatch``)
+    and a singular X raise SignInconsistency.
+
+    With R the pivot rows, X = B_R^-1 cols_R, so the sign is
+    sign det(cols_R) * sign det(B_R).  The elimination leaves T B_R and
+    T cols_R in its top rows with T lower triangular, so that is also the
+    sign of det(T cols_R) times the signs of the pivots, the diagonal of
+    T B_R: det T enters squared."""
+    k = len(face.basis)
+    rows, pivots, _ = _reduce([[b[i] for b in face.basis] + [c[i] for c in cols]
+                               for i in range(len(face.total))], k)
+    if any(x for row in rows[k:] for x in row[k:]):
+        raise SignInconsistency("vector does not lie in the face's span")
+    if len(cols) != k:
+        raise SignInconsistency(mismatch)
+    if not k:
+        return 1
+    tops, top_pivots, swaps = _reduce([row[k:] for row in rows[:k]], k)
+    if len(top_pivots) < k:
+        raise SignInconsistency("degenerate orientation comparison")
+    negative = (tops[-1][-1] < 0) != (swaps < 0)
+    for i, c in enumerate(pivots):
+        negative ^= rows[i][c] < 0
+    return -1 if negative else 1
 
 
 def _incidence_sign(face: _FaceData, facet: _FaceData) -> int:
     """Sign comparing the facet's orientation, preceded by an outward vector,
-    with the face's orientation."""
-    out = tuple(b - a for a, b in zip(face.barycenter, facet.barycenter))
-    cols = [_coords_in(face.basis, out)]
-    cols += [_coords_in(face.basis, b) for b in facet.basis]
-    if len(cols) != face.dim:
-        raise SignInconsistency("facet dimension mismatch")
-    return _det_sign_of_columns(cols)
+    with the face's orientation.  The outward vector is
+    n_face * (facet total) - n_facet * (face total), n_face * n_facet times
+    the step between the barycenters."""
+    nf, ng = len(face.vertices), len(facet.vertices)
+    out = tuple(nf * b - ng * a for a, b in zip(face.total, facet.total))
+    return _orientation_sign(face, [out] + facet.basis,
+                             "facet dimension mismatch")
 
 
 def _product_sign(facet: _FaceData, labels: Sequence[str],
@@ -136,16 +150,15 @@ def _product_sign(facet: _FaceData, labels: Sequence[str],
     the pieces: each piece's basis, zero-extended from its labels to
     `labels`, concatenated in the given order."""
     index = {l: i for i, l in enumerate(labels)}
-    cols: List[List[Fraction]] = []
+    cols: List[List[int]] = []
     for piece_labels, piece in pieces:
         for b in piece.basis:
-            ext = [Fraction(0)] * len(labels)
+            ext = [0] * len(labels)
             for l, x in zip(piece_labels, b):
                 ext[index[l]] = x
-            cols.append(_coords_in(facet.basis, tuple(ext)))
-    if len(cols) != facet.dim:
-        raise SignInconsistency("factorization does not span the facet")
-    return _det_sign_of_columns(cols)
+            cols.append(ext)
+    return _orientation_sign(facet, cols,
+                             "factorization does not span the facet")
 
 
 class _LatticeData(NamedTuple):
@@ -157,7 +170,8 @@ class _LatticeData(NamedTuple):
 def _lattice_face_data(lattice: FaceLattice) -> _LatticeData:
     """Face data and signed facets of a lattice, faces found by vertex tuple.
     A facet that does not drop the dimension by one raises SignInconsistency."""
-    data = [_face_data(f.vertices, lattice.gkz_vectors) for f in lattice.faces]
+    gkz = [_gkz_sum(lattice.config, t) for t in lattice.regular]
+    data = [_face_data(f.vertices, gkz) for f in lattice.faces]
     index = {f.vertices: i for i, f in enumerate(lattice.faces)}
     facets = []
     for face, fdata in zip(lattice.faces, data):
@@ -567,7 +581,7 @@ class AInfAlgebra:
 class _FarPolygon(NamedTuple):
     config: PointConfig               # the far point first, then configuration order
     triangulations: List[Cells]
-    gkz: List[Tuple[Fraction, ...]]   # aligned with the triangulations
+    gkz: List[Tuple[int, ...]]        # grid GKZ sums of the triangulations
     top: _FaceData                    # the whole secondary polytope
 
 
@@ -581,7 +595,7 @@ def _far_config(config: PointConfig, eta: Direction, M: Fraction,
 def _far_polygon(cfg: PointConfig, triangulations: List[Cells]) -> _FarPolygon:
     """A far-point model with the GKZ vectors of its triangulations and its
     secondary polytope's face data."""
-    gkz = [gkz_vector(cfg, t) for t in triangulations]
+    gkz = [_gkz_sum(cfg, t) for t in triangulations]
     return _FarPolygon(cfg, triangulations, gkz,
                        _face_data(range(len(triangulations)), gkz))
 
@@ -651,27 +665,37 @@ def check_stasheff(alg: AInfAlgebra, max_arity: int = 4) -> StasheffReport:
     Degrees are the shifted (bar) ones, len(chain) - 2, and the products obey
     m2(m2(x,y),z) + (-1)^{deg x} m2(x,m2(y,z)) = 0 with every higher product
     zero, so arities other than 3 are vacuous; all are still evaluated
-    literally so a corrupted table is caught.
+    literally so a corrupted table is caught.  Both arity-3 terms vanish
+    unless m2(x,y) = k with (k,z) in m2, or m2(y,z) = k with (x,k) in m2, so
+    only those triples are evaluated, in lexicographic order.
     """
     if max_arity > K_MAX:
         raise ValueError(f"max_arity {max_arity} exceeds K_max {K_MAX}")
     failures: List[Tuple[int, Tuple[int, ...]]] = []
     n = len(alg.basis)
     if max_arity >= 3:
-        for x in range(n):
+        seconds: Dict[int, List[int]] = {}  # x -> every y with (x, y) in m2
+        firsts: Dict[int, List[int]] = {}   # y -> every x with (x, y) in m2
+        for x, y in alg.m2:
+            seconds.setdefault(x, []).append(y)
+            firsts.setdefault(y, []).append(x)
+        triples = set()
+        for (a, b), (k, _) in alg.m2.items():
+            triples.update((a, b, z) for z in seconds.get(k, ()))
+            triples.update((x, a, b) for x in firsts.get(k, ()))
+        for x, y, z in sorted(triples):
+            if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
+                continue  # a corrupted key off the basis is no basis tuple
             sx = -1 if alg.degrees[x] % 2 else 1
-            for y in range(n):
-                xy = alg.m(2, (x, y))
-                for z in range(n):
-                    acc: Dict[int, Fraction] = {}
-                    for k, c in xy.items():
-                        for k2, c2 in alg.m(2, (k, z)).items():
-                            acc[k2] = acc.get(k2, Fraction(0)) + c * c2
-                    for k, c in alg.m(2, (y, z)).items():
-                        for k2, c2 in alg.m(2, (x, k)).items():
-                            acc[k2] = acc.get(k2, Fraction(0)) + sx * c * c2
-                    if any(v != 0 for v in acc.values()):
-                        failures.append((3, (x, y, z)))
+            acc: Dict[int, Fraction] = {}
+            for k, c in alg.m(2, (x, y)).items():
+                for k2, c2 in alg.m(2, (k, z)).items():
+                    acc[k2] = acc.get(k2, Fraction(0)) + c * c2
+            for k, c in alg.m(2, (y, z)).items():
+                for k2, c2 in alg.m(2, (x, k)).items():
+                    acc[k2] = acc.get(k2, Fraction(0)) + sx * c * c2
+            if any(v != 0 for v in acc.values()):
+                failures.append((3, (x, y, z)))
     if max_arity >= 4:
         # every arity-4 term contains an m3 or m4, zero by construction;
         # verify the tables really are empty

@@ -1,22 +1,26 @@
-"""Small dense exact linear algebra over Fraction.
+"""Small dense exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fractions (rows).  Sizes in this package are
-tiny (block matrices of total dimension <= ~15), so plain Gaussian elimination
-with exact pivoting is both fast enough and free of numerical questions.
+Matrices are lists of rows of Fractions or ints.  Sizes in this package are
+tiny (block matrices of total dimension <= ~15).  Every elimination (det,
+rank, inverse, solve, and the greedy bases and orientation signs of the web
+algebra) goes through the one routine _reduce: a fraction-free (Bareiss)
+elimination, exact on ints and Fractions alike.  It clears each row's
+denominators and then runs on Python ints, where each division by the
+previous pivot is exact.  solve and inverse divide only when they
+back-substitute, and det, solve and inverse return Fractions.
 
 Dimensions may be zero.  An r x 0 matrix is r empty rows, ``[[]] * r``, and a
 0 x r matrix is ``[]``, so the row list loses the width of a matrix with no
 rows.  A product whose right factor is empty therefore takes its width from
 the ``cols`` argument of mat_mul.  This module is the one exact matrix kernel
 of the package: the products, block layouts and JSON codec of the diagrams
-and Stokes matrices all go through it, and every elimination (det, rank,
-inverse, solve, and the greedy bases of the web algebra) goes through the
-one routine _reduce.
+and Stokes matrices all go through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactgeom import format_rational, parse_rational
@@ -101,47 +105,86 @@ def transpose(a: Matrix) -> Matrix:
     return [[a[i][j] for i in range(m)] for j in range(n)]
 
 
-def _reduce(a: Matrix, ncols: int) -> Tuple[Matrix, List[int], Fraction]:
-    """Gauss-Jordan elimination of a copy of ``a`` over its first ``ncols``
-    columns.  The pivot of each column is its first nonzero entry at or below
-    the current rank.  Returns the reduced rows (each pivot 1, the only
-    nonzero of its column within those columns), the pivot columns, and the
-    product of the pivots times the sign of the row swaps."""
-    rows = [list(r) for r in a]
+def _reduce(a: Matrix, ncols: int) -> Tuple[List[List[int]], List[int], Fraction]:
+    """Fraction-free (Bareiss) forward elimination of a copy of ``a`` over its
+    first ``ncols`` columns.
+
+    Each row is first multiplied by the lcm of its denominators, so the loop
+    runs on Python ints.  Every entry it leaves is a minor of those rows: the
+    step at pivot p turns x into (p*x - f*y) / prev, with f the entry under
+    the pivot, y the pivot row's entry and prev the previous pivot, and the
+    division is exact (Sylvester's identity).  The pivot of each column is its
+    first nonzero entry at or below the current rank.  Returns the echelon
+    rows (integers, zero below the rank within the eliminated columns), the
+    pivot columns, and the sign of the row swaps over the product of the row
+    multipliers: when every row holds a pivot, that times the last pivot is
+    the determinant of the eliminated columns."""
+    rows: List[List[int]] = []
+    denom = 1
+    for row in a:
+        d = lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (d // x.denominator) for x in row]
+                    if d != 1 else [x.numerator for x in row])
+        denom *= d
     m = len(rows)
     pivots: List[int] = []
-    scale = Fraction(1)
+    sign = 1
+    prev = 1
     for col in range(ncols):
         rk = len(pivots)
         if rk == m:
             break
-        piv = next((r for r in range(rk, m) if rows[r][col] != 0), None)
+        piv = next((r for r in range(rk, m) if rows[r][col]), None)
         if piv is None:
             continue
         if piv != rk:
             rows[rk], rows[piv] = rows[piv], rows[rk]
-            scale = -scale
-        p = rows[rk][col]
-        scale *= p
-        inv = 1 / p
-        # the pivot row is zero left of col, so only columns col.. change
-        prow = rows[rk][:col] + [x * inv for x in rows[rk][col:]]
-        rows[rk] = prow
-        for r in range(m):
-            f = rows[r][col]
-            if r != rk and f != 0:
-                rows[r] = rows[r][:col] + [x - f * y for x, y in
-                                           zip(rows[r][col:], prow[col:])]
+            sign = -sign
+        prow = rows[rk][col:]
+        p = prow[0]
+        # rows below the pivot are zero left of col, so only columns col.. change
+        for r in range(rk + 1, m):
+            row = rows[r]
+            f = row[col]
+            if f:
+                row[col:] = [(p * x - f * y) // prev
+                             for x, y in zip(row[col:], prow)]
+            elif p != prev:
+                row[col:] = [p * x // prev for x in row[col:]]
+        prev = p
         pivots.append(col)
-    return rows, pivots, scale
+    return rows, pivots, Fraction(sign, denom)
+
+
+def _back_substitute(rows: List[List[int]], pivots: List[int], n: int,
+                     j: int) -> List[Fraction]:
+    """The x with x[c] = 0 off the pivot columns that solves the pivot rows
+    of _reduce's echelon rows against their column j.  With d the last pivot,
+    d*x is an integer vector (Cramer's rule), built from the bottom row up
+    with exact divisions; only the entries of x are Fractions."""
+    k = len(pivots)
+    d = rows[k - 1][pivots[-1]] if k else 1
+    y = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = rows[i]
+        acc = d * row[j]
+        for t in range(i + 1, k):
+            acc -= row[pivots[t]] * y[t]
+        y[i] = acc // row[pivots[i]]
+    x = [Fraction(0)] * n
+    for c, v in zip(pivots, y):
+        x[c] = Fraction(v, d)
+    return x
 
 
 def det(a: Matrix) -> Fraction:
     m, n = shape(a)
     if m != n:
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, scale = _reduce(a, n)
-    return scale if len(pivots) == n else Fraction(0)
+    rows, pivots, scale = _reduce(a, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return scale * rows[-1][-1] if n else scale
 
 
 def rank(a: Matrix) -> int:
@@ -156,7 +199,8 @@ def inverse(a: Matrix) -> Matrix:
     rows, pivots, _ = _reduce(aug, n)
     if len(pivots) < n:
         raise SingularMatrix("matrix is singular")
-    return [row[n:] for row in rows]
+    return transpose([_back_substitute(rows, pivots, n, n + j)
+                      for j in range(n)])
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[List[Fraction]]:
@@ -165,12 +209,9 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[List[Fraction]]:
     n = shape(a)[1]
     rows, pivots, _ = _reduce([list(row) + [parse_rational(v)]
                                for row, v in zip(a, b)], n)
-    if any(row[n] != 0 for row in rows[len(pivots):]):
+    if any(row[n] for row in rows[len(pivots):]):
         return None
-    x = [Fraction(0)] * n
-    for row, c in zip(rows, pivots):
-        x[c] = row[n]
-    return x
+    return _back_substitute(rows, pivots, n, n)
 
 
 def charpoly(a: Matrix) -> List[Fraction]:

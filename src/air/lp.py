@@ -22,16 +22,24 @@ from .exactgeom import parse_rational
 # or <= rhs (non-strict).
 Row = Tuple[Tuple[Fraction, ...], Fraction, bool]
 
+_ZERO = Fraction(0)
+
+
+def _over(c, s) -> Fraction:
+    """c / s as a Fraction, for an int or Fraction c and a positive s."""
+    if type(c) is int and type(s) is int:
+        return Fraction(c, s) if c else _ZERO
+    return c / s
+
 
 def _normalize(coeffs: Sequence, rhs) -> Tuple[Tuple[Fraction, ...], Fraction]:
-    cs = tuple(parse_rational(c) for c in coeffs)
-    r = parse_rational(rhs)
-    lead = next((c for c in cs if c != 0), None)
-    if lead is None:
-        return cs, r
-    # scale by a positive constant so the leading coefficient is +-1
-    s = 1 / abs(lead)
-    return tuple(c * s for c in cs), r * s
+    """The row scaled by a positive constant so that its leading coefficient
+    is +-1.  Int entries stay ints until that division; strings and Fractions
+    go through parse_rational."""
+    cs = [c if type(c) is int else parse_rational(c) for c in coeffs]
+    r = rhs if type(rhs) is int else parse_rational(rhs)
+    s = abs(next((c for c in cs if c), 1))
+    return tuple(_over(c, s) for c in cs), _over(r, s)
 
 
 class LinearSystem:

@@ -516,20 +516,30 @@ def regular_triangulations(config: PointConfig) -> List[Cells]:
 # -- GKZ vectors and the secondary polytope ------------------------------------
 
 
-def gkz_vector(config: PointConfig, cells: Cells) -> Tuple[Fraction, ...]:
-    """Per point, the total normalized volume of its incident cells: summed
-    as integer areas on the grid, then divided by scale**2."""
+def _gkz_sum(config: PointConfig, cells: Cells) -> Tuple[int, ...]:
+    """Per point, the total integer area on the grid of its incident cells:
+    the GKZ vector times scale**2."""
     g = config.grid
     vol = dict.fromkeys(config.labels, 0)
     for cell in cells:
         v = normvol([g[l] for l in cell])
         for l in cell:
             vol[l] += v
+    return tuple(vol[l] for l in config.labels)
+
+
+def _unscaled(config: PointConfig, total: Tuple[int, ...]) -> Tuple[Fraction, ...]:
+    """A grid GKZ sum divided by scale**2: the GKZ vector it stands for."""
     s2 = config.scale ** 2
-    return tuple(Fraction(vol[l], s2) for l in config.labels)
+    return tuple(Fraction(v, s2) for v in total)
 
 
-def _affine_rank(vectors: Sequence[Tuple[Fraction, ...]]) -> int:
+def gkz_vector(config: PointConfig, cells: Cells) -> Tuple[Fraction, ...]:
+    """Per point, the total normalized volume of its incident cells."""
+    return _unscaled(config, _gkz_sum(config, cells))
+
+
+def _affine_rank(vectors: Sequence[Tuple[int, ...]]) -> int:
     if len(vectors) <= 1:
         return 0
     v0 = vectors[0]
@@ -550,7 +560,8 @@ def secondary_polytope(config: PointConfig) -> SecondaryPolytope:
     graph = _flip_graph(config)
     tris = sorted(graph)
     regular = [t for t in tris if is_regular(config, t)]
-    gkz = [gkz_vector(config, t) for t in regular]
+    sums = [_gkz_sum(config, t) for t in regular]
+    gkz = [_unscaled(config, g) for g in sums]
     pos = {t: i for i, t in enumerate(regular)}
     edges = set()
     for i, t in enumerate(regular):
@@ -559,7 +570,7 @@ def secondary_polytope(config: PointConfig) -> SecondaryPolytope:
             if j is not None and i < j:
                 edges.add((i, j))
     return SecondaryPolytope(config, tris, regular, gkz, sorted(edges),
-                             _affine_rank(gkz))
+                             _affine_rank(sums))
 
 
 # -- all polyhedral subdivisions and the face lattice ---------------------------
@@ -640,7 +651,7 @@ def secondary_face_lattice(config: PointConfig) -> FaceLattice:
     if len(config) > 6:
         raise SubdivisionError("face lattice enumeration supports at most 6 points")
     regular = regular_triangulations(config)
-    gkz = [gkz_vector(config, t) for t in regular]
+    sums = [_gkz_sum(config, t) for t in regular]
     by_vertices: Dict[Tuple[int, ...], Face] = {}
     for msub in enumerate_marked_subdivisions(config):
         if not marked_is_regular(config, msub):
@@ -651,9 +662,10 @@ def secondary_face_lattice(config: PointConfig) -> FaceLattice:
             raise SubdivisionError(f"regular marked subdivision with no refinement: {msub}")
         if vs in by_vertices:
             continue
-        by_vertices[vs] = Face(msub, vs, _affine_rank([gkz[i] for i in vs]))
+        by_vertices[vs] = Face(msub, vs, _affine_rank([sums[i] for i in vs]))
     faces = sorted(by_vertices.values(), key=lambda f: (f.dim, f.vertices))
-    return FaceLattice(config, regular, gkz, faces)
+    return FaceLattice(config, regular, [_unscaled(config, g) for g in sums],
+                       faces)
 
 
 # -- face factorization ---------------------------------------------------------

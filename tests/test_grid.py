@@ -27,22 +27,7 @@ from air.secondary import (
     secondary_face_lattice,
     validate_subdivision,
 )
-from conftest import random_generic_config
-
-
-def _mixed_config(rng, n):
-    """A generic configuration with denominators drawn from 1, 2, 3, 5, 7."""
-    while True:
-        items, seen = [], set()
-        while len(items) < n:
-            p = (Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 7))),
-                 Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 7))))
-            if p not in seen:
-                seen.add(p)
-                items.append((f"p{len(items) + 1}", p[0], p[1]))
-        cfg = PointConfig.of(items)
-        if check_genericity(cfg):
-            return cfg
+from conftest import random_generic_config, random_mixed_config
 
 
 def _thirds_sevenths(cfg):
@@ -53,7 +38,7 @@ def _thirds_sevenths(cfg):
 
 def _golden_configs():
     rng = random.Random(1717)
-    out = [_mixed_config(rng, n) for n in (4, 5, 5, 6, 6)]
+    out = [random_mixed_config(rng, n) for n in (4, 5, 5, 6, 6)]
     out += [_thirds_sevenths(random_generic_config(random.Random(s), n))
             for s, n in ((3, 5), (4, 6))]
     # a triangle in a triangle: two of its triangulations are not regular

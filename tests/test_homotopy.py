@@ -1,5 +1,6 @@
 """Chain complexes, the web CDGA, extended triangulations, infinite polygons."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -9,14 +10,20 @@ import pytest
 
 from air.exactgeom import Direction, PointConfig, check_genericity, cross, \
     orient, sign, vsub
+import air.homotopy
 from air.homotopy import (
     AInfAlgebra,
     DegenerateConfig,
     FaceLatticeUnavailable,
     INF,
+    SignInconsistency,
     _extended_at,
+    _face_data,
     _far_bound,
     _far_point,
+    _incidence_sign,
+    _lattice_face_data,
+    _product_sign,
     build_ainf,
     build_web_cdga,
     check_d_squared,
@@ -25,9 +32,11 @@ from air.homotopy import (
     extended_triangulations,
     polyhedral_chain_complex,
 )
+from air.linalg import det, solve
 from air.secondary import secondary_face_lattice
 
-from conftest import random_generic_config
+from conftest import random_generic_config, random_generic_zeta, \
+    random_mixed_config
 
 UP = Direction.of(0, 1)
 
@@ -394,3 +403,244 @@ def test_random_configs_stasheff():
         alg = build_ainf(cfg, Direction.of(zx, zy))
         rep = check_stasheff(alg)
         assert rep.ok, rep.failures
+
+
+# -- check_stasheff against the dense triple loop ---------------------------------
+
+
+def _dense_stasheff_failures(alg):
+    """The arity-3 check over all n^3 basis triples, as first written."""
+    failures = []
+    n = len(alg.basis)
+    for x in range(n):
+        sx = -1 if alg.degrees[x] % 2 else 1
+        for y in range(n):
+            xy = alg.m(2, (x, y))
+            for z in range(n):
+                acc = {}
+                for k, c in xy.items():
+                    for k2, c2 in alg.m(2, (k, z)).items():
+                        acc[k2] = acc.get(k2, Fraction(0)) + c * c2
+                for k, c in alg.m(2, (y, z)).items():
+                    for k2, c2 in alg.m(2, (x, k)).items():
+                        acc[k2] = acc.get(k2, Fraction(0)) + sx * c * c2
+                if any(v != 0 for v in acc.values()):
+                    failures.append((3, (x, y, z)))
+    return failures
+
+
+def _seeded_algebras():
+    arc = PointConfig.of([(l, x, x * x) for l, x in zip("abcde", (2, 1, 0, -1, -2))])
+    out = [build_ainf(arc, UP)]
+    rng = random.Random(29)
+    while len(out) < 4:
+        cfg = random_generic_config(rng, 5)
+        alg = build_ainf(cfg, random_generic_zeta(rng, cfg))
+        if alg.m2:
+            out.append(alg)
+    return out
+
+
+def test_sparse_stasheff_matches_the_dense_loop_under_corruption():
+    rng = random.Random(41)
+    corrupted = 0
+    for alg in _seeded_algebras():
+        clean = dict(alg.m2)
+        n = len(alg.basis)
+        assert check_stasheff(alg).failures == _dense_stasheff_failures(alg) == []
+        for _ in range(2):
+            key = rng.choice(sorted(clean))
+            k, c = clean[key]
+            free = [(i, j) for i in range(n) for j in range(n)
+                    if (i, j) not in clean]
+            for kind in ("flip", "retarget", "delete", "add"):
+                alg.m2 = dict(clean)
+                if kind == "flip":
+                    alg.m2[key] = (k, -c)
+                elif kind == "retarget":
+                    alg.m2[key] = (rng.choice([t for t in range(n) if t != k]), c)
+                elif kind == "delete":
+                    del alg.m2[key]
+                else:
+                    alg.m2[rng.choice(free)] = (rng.randrange(n), Fraction(1))
+                rep = check_stasheff(alg)
+                assert rep.failures == _dense_stasheff_failures(alg), kind
+                assert rep.ok == (not rep.failures)
+                corrupted += not rep.ok
+        alg.m2 = clean
+    assert corrupted > 10  # a corruption that meets no other product is unseen
+
+
+# -- orientation signs against the Fraction path ------------------------------------
+#
+# The signs used to come from Fraction GKZ vectors: a solve per column for the
+# coordinates in the face's basis, then one determinant, with the outward
+# vector taken between barycenters.  That path is kept here as the oracle.
+
+
+def _fraction_face(vertex_ids, gkz):
+    vs = tuple(vertex_ids)
+    g = [tuple(Fraction(x) for x in gkz[i]) for i in vs]
+    basis = []
+    for v in g[1:]:  # greedy independent differences, in order
+        d = [x - y for x, y in zip(v, g[0])]
+        if solve([list(r) for r in zip(*basis)] if basis else [[]] * len(d),
+                 d) is None:
+            basis.append(tuple(d))
+    bary = tuple(sum(col) / len(g) for col in zip(*g))
+    return basis, bary
+
+
+def _fraction_coords(basis, v):
+    x = solve([[b[i] for b in basis] for i in range(len(v))], list(v))
+    if x is None:
+        raise SignInconsistency("vector does not lie in the face's span")
+    return x
+
+
+def _fraction_sign(basis, cols):
+    cols = [_fraction_coords(basis, c) for c in cols]
+    if len(cols) != len(basis):
+        raise SignInconsistency("dimension mismatch")
+    if not cols:
+        return 1
+    d = det([list(r) for r in zip(*cols)])
+    if d == 0:
+        raise SignInconsistency("degenerate orientation comparison")
+    return 1 if d > 0 else -1
+
+
+def _fraction_incidence_sign(face, facet):
+    (basis, bary), (fbasis, fbary) = face, facet
+    return _fraction_sign(basis, [tuple(b - a for a, b in zip(bary, fbary))]
+                          + fbasis)
+
+
+def _fraction_product_sign(facet, labels, pieces):
+    index = {l: i for i, l in enumerate(labels)}
+    cols = []
+    for piece_labels, (basis, _) in pieces:
+        for b in basis:
+            ext = [Fraction(0)] * len(labels)
+            for l, x in zip(piece_labels, b):
+                ext[index[l]] = x
+            cols.append(ext)
+    return _fraction_sign(facet[0], cols)
+
+
+def _fraction_copy(data):
+    """The Fraction path's face data for integer face data: its vectors read
+    as Fractions, a positive multiple of the volumes."""
+    return _fraction_face(range(len(data.gkz)), data.gkz)
+
+
+def test_incidence_signs_match_the_fraction_path_on_seeded_lattices():
+    compared = 0
+    for n in (3, 4, 5, 6):
+        for seed in (1, 2):
+            lattice = secondary_face_lattice(
+                random_generic_config(random.Random(100 * n + seed), n))
+            old = [_fraction_face(f.vertices, lattice.gkz_vectors)
+                   for f in lattice.faces]
+            new = _lattice_face_data(lattice)
+            for i, facets in enumerate(new.facets):
+                for j, eps in facets:
+                    assert eps == _fraction_incidence_sign(old[i], old[j])
+                    compared += 1
+    assert compared > 200
+
+
+def test_crafted_faces_raise_each_sign_inconsistency():
+    vecs = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 0, 0)]
+    edge = _face_data([0, 1], vecs)
+    # the outward step from the edge to (0, 1, 0) leaves its line
+    with pytest.raises(SignInconsistency, match="span"):
+        _incidence_sign(edge, _face_data([2], vecs))
+    # a face against itself: two columns in a one-dimensional face
+    with pytest.raises(SignInconsistency, match="mismatch"):
+        _incidence_sign(edge, edge)
+    # the midpoint of the segment from 0 to 2: no outward step
+    with pytest.raises(SignInconsistency, match="degenerate"):
+        _incidence_sign(_face_data([0, 3], vecs), _face_data([4], vecs))
+    with pytest.raises(SignInconsistency, match="does not span"):
+        _product_sign(edge, ("a", "b", "c"), [])
+    with pytest.raises(SignInconsistency, match="span"):
+        _product_sign(edge, ("a", "b", "c"),
+                      [(("b", "c"), _face_data([0, 1], [(0, 0), (0, 1)]))])
+
+
+# -- golden outputs and a scaling metamorphic check -----------------------------------
+
+
+def _golden_inputs():
+    rng = random.Random(1818)
+    cfgs = [random_generic_config(random.Random(s), n)
+            for s, n in ((5, 4), (6, 5), (7, 5))]
+    cfgs += [random_mixed_config(rng, n) for n in (4, 5, 5)]
+    out = [(cfg, random_generic_zeta(rng, cfg)) for cfg in cfgs]
+    # a convex arc in thirds and sevenths: 26 chains, 23 products
+    arc = PointConfig.of([(l, Fraction(x, 3), Fraction(x * x, 7))
+                          for l, x in zip("abcde", (2, 1, 0, -1, -2))])
+    return out + [(arc, UP)]
+
+
+def _digests(cfg, eta):
+    return tuple(hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+                 for obj in (build_web_cdga(cfg).to_obj(),
+                             build_ainf(cfg, eta).to_obj()))
+
+
+# sha256 of the sorted-key JSON of build_web_cdga(cfg).to_obj() and
+# build_ainf(cfg, eta).to_obj() per golden input, recorded on the Fraction
+# implementation of the signs
+GOLDEN = [
+    ("39a98d58c4f9052f222d4160acf9ec84ebfdc88365990d3086017d98bc6922e8",
+     "6e6176a67311d59382b50477366e781e5beaa21cc5015844729d01024d47b570"),
+    ("782055c023acada7c2b1646a504032b02179347402c0cdcc83e16cd46c2caade",
+     "16cae8379afaa7ae73ef353e95321439dd79bfaf5da84187732a78ef8ae4aa3a"),
+    ("47fff3153b933edf147970507ea15022182813d05c0b396abd841ff807fa3a7f",
+     "b83629f5b82db0ec8f093bffc3be4f452c4874c47005a5a63d12157651a1bc43"),
+    ("5baf03e1c40e09b147421938ec45e3c31d0b2d6264efc294fb74eabc5a33e87c",
+     "7a593d25407f0b9ce91223a30dc4fb55ad9e642c05a5da8d1f938d7888323eb7"),
+    ("b0e7400f832ff8e44dbd1c6ad68947228c2891be74796cc671484258e7b68180",
+     "1d5a295e1f1897277ed6a65291315382153556b43d0738142d54b5ed37b8985f"),
+    ("ed84861deead0f437dc411fbc58bec8e2b800e6cd2f31c0116c5e4dcee4a9c69",
+     "a48f1f24b9952ed5a155250f69dae8033f3f5abcb91d8260bc41a64d8b411914"),
+    ("a9c0ee2b37bafa518aa0e15c60bab7bb5a4da041abbcf78d11a6bf66c2d2d6fb",
+     "3f393a46ad0a69cb646de1d647b58e03ab549e95df1e36b6c91aea7d73b99775"),
+]
+
+
+def test_golden_outputs_with_signs_checked_on_the_fraction_path(monkeypatch):
+    calls = {"incidence": 0, "product": 0}
+
+    def incidence(face, facet):
+        got = _incidence_sign(face, facet)
+        assert got == _fraction_incidence_sign(_fraction_copy(face),
+                                               _fraction_copy(facet))
+        calls["incidence"] += 1
+        return got
+
+    def product(facet, labels, pieces):
+        got = _product_sign(facet, labels, pieces)
+        assert got == _fraction_product_sign(
+            _fraction_copy(facet), labels,
+            [(l, _fraction_copy(p)) for l, p in pieces])
+        calls["product"] += 1
+        return got
+
+    monkeypatch.setattr(air.homotopy, "_incidence_sign", incidence)
+    monkeypatch.setattr(air.homotopy, "_product_sign", product)
+    assert [_digests(cfg, eta) for cfg, eta in _golden_inputs()] == GOLDEN
+    build_web_cdga(random_generic_config(random.Random(601), 6))
+    assert calls["incidence"] > 200 and calls["product"] > 100
+
+
+def test_positive_scaling_keeps_both_outputs():
+    # every sign is a determinant sign, and scaling by k multiplies each
+    # polytope's GKZ vectors by k**2 > 0
+    k = Fraction(3, 7)
+    scaled = [(PointConfig.of([(l, cfg.point(l).x * k, cfg.point(l).y * k)
+                               for l in cfg.labels]), eta)
+              for cfg, eta in _golden_inputs()]
+    assert [_digests(cfg, eta) for cfg, eta in scaled] == GOLDEN

@@ -3,7 +3,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from air.homotopy import _greedy_basis
@@ -283,16 +283,16 @@ entries = st.one_of(st.just(Fraction(0)),
 
 
 @st.composite
-def matrices(draw, rows=None, cols=None):
+def matrices(draw, rows=None, cols=None, elements=entries):
     r = draw(st.integers(0, 5)) if rows is None else rows
     c = draw(st.integers(0, 5)) if cols is None else cols
-    a = draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+    a = draw(st.lists(st.lists(elements, min_size=c, max_size=c),
                       min_size=r, max_size=r))
     if r and c and draw(st.booleans()):
         # a product through a thin middle: rank at most k
         k = draw(st.integers(0, min(r, c)))
-        left = draw(matrices(r, k))
-        right = draw(matrices(k, c))
+        left = draw(matrices(r, k, elements))
+        right = draw(matrices(k, c, elements))
         a = mat_mul(left, right, c)
     return a
 
@@ -337,3 +337,61 @@ def test_rank_and_solve_match_their_own_elimination(a, data):
 def test_greedy_basis_is_the_greedy_independent_subsequence(a):
     vectors = [tuple(row) for row in a]  # rows as the vectors, in order
     assert _greedy_basis(vectors) == _oracle_greedy_basis(vectors)
+
+
+# -- int input: the same results, still Fractions ---------------------------------
+#
+# The elimination runs on integers; Fraction input is cleared row by row
+# first.  On int matrices every routine must give what the Fraction oracles
+# give on the same matrix read as Fractions, and return Fractions.
+
+int_entries = st.one_of(st.just(0), st.integers(-6, 6))
+# the same shapes and thin products, read back as ints
+int_matrices = matrices(elements=int_entries).map(
+    lambda a: [[int(x) for x in row] for row in a])
+
+
+def _as_fractions(a):
+    return [[Fraction(x) for x in row] for row in a]
+
+
+def _all_fractions(values) -> bool:
+    return all(type(v) is Fraction for v in values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=int_matrices, data=st.data())
+@example(a=[], data=None)                       # 0 x 0
+@example(a=[[], [], []], data=None)             # 3 x 0
+@example(a=[[2, 4, 6], [1, 2, 3], [3, 6, 9]], data=None)  # rank 1
+def test_int_input_matches_the_fraction_oracles(a, data):
+    q = _as_fractions(a)
+    m, n = len(a), len(a[0]) if a else 0
+    assert rank(a) == _oracle_rank(q)
+    assert _greedy_basis([tuple(row) for row in a]) == \
+        [tuple(int(x) for x in v)
+         for v in _oracle_greedy_basis([tuple(row) for row in q])]
+    b = [0] * m if data is None else data.draw(
+        st.lists(int_entries, min_size=m, max_size=m))
+    got = solve(a, b)
+    assert got == _oracle_solve(q, b)
+    assert got is None or _all_fractions(got)
+    if n and data is not None:
+        # a consistent right-hand side: a combination of the columns
+        x = data.draw(st.lists(int_entries, min_size=n, max_size=n))
+        b = [sum(u * v for u, v in zip(row, x)) for row in a]
+        got = solve(a, b)
+        assert got == _oracle_solve(q, b) and _all_fractions(got)
+        assert mat_mul(q, [[v] for v in got]) == [[Fraction(v)] for v in b]
+    if m == n:
+        d = det(a)
+        assert type(d) is Fraction and d == _oracle_det(q)
+        try:
+            expected = _oracle_inverse(q)
+        except SingularMatrix:
+            with pytest.raises(SingularMatrix):
+                inverse(a)
+        else:
+            inv = inverse(a)
+            assert inv == expected
+            assert all(_all_fractions(row) for row in inv)

@@ -160,3 +160,22 @@ def test_lower_faces_agree_with_the_plane_solve():
                        for l in cfg.labels}
             assert _lower_faces(cfg, heights) == \
                 _oracle_lower_faces(cfg, heights)
+
+
+def test_integer_plane_rows_normalize_as_their_fraction_copies():
+    # the solver divides each row by its leading coefficient; on int rows it
+    # builds Fraction(c, |lead|) directly, and must give the Fraction row
+    from air.lp import _normalize
+    from air.secondary import _plane_row
+    for cfg in (MOA, random_generic_config(random.Random(7), 6)):
+        g = cfg.grid
+        index = {l: i for i, l in enumerate(cfg.labels)}
+        for cell in combinations(cfg.labels, 3):
+            for s in cfg.labels:
+                row = _plane_row(g, index, cell, s)
+                for rhs in (0, -3):
+                    got = _normalize(row, rhs)
+                    assert got == _normalize([Fraction(c) for c in row],
+                                             Fraction(rhs))
+                    assert all(type(c) is Fraction for c in got[0] + (got[1],))
+                    assert next((abs(c) for c in got[0] if c), 1) == 1
