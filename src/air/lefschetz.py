@@ -1,8 +1,9 @@
 """One-variable superpotentials: critical data, root tracking, exact output.
 
-This is the only module that touches floating point.  Roots of W' come from
-companion-matrix eigenvalues and are polished by high-precision Newton until
-the residual drops below 1e-30; fibers W(x) = p are tracked along polylines
+This is the only module that touches floating point.  Roots of W' and of
+W - p come from the Aberth-Ehrlich simultaneous iteration on Python complex
+numbers; roots of W' are then polished by high-precision Newton until the
+residual drops below 1e-30; fibers W(x) = p are tracked along polylines
 by a predictor-corrector loop whose steps halve until Newton stays well
 inside the current root separation.  Everything exported downstream is
 snapped to exact rationals or integers, with hard failure when a snap is
@@ -27,7 +28,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
-import numpy as np
 
 from .exactgeom import DegenerateConfig, PointConfig, parse_rational
 from .perv import MatrixDiagram
@@ -132,6 +132,49 @@ def _complex_coeffs(W: Superpotential) -> Tuple[List[complex], List[complex]]:
             [complex(c) for c in _derivative(W.coefficients)])
 
 
+_ABERTH_SWEEPS = 100   # sweeps before a root that has not settled fails
+_ABERTH_STEP = 1e-12   # a root settles once its correction is this small, relatively
+_ABERTH_NOISE = 1e-14  # ... or once |f(z)| is this small against sum |a_k| |z|^k
+
+
+def _roots(desc: Sequence[complex]) -> Optional[List[complex]]:
+    """All roots of the polynomial with these descending coefficients (the
+    leading one nonzero), by the Aberth-Ehrlich iteration (Aberth, Math.
+    Comp. 27, 1973; Bini, Numer. Algorithms 13, 1996); None when a root has
+    not settled after _ABERTH_SWEEPS sweeps.
+
+    Zero roots are split off exactly.  The others start on the circle of
+    radius |a_0/a_n|^(1/n), the geometric mean of their moduli, turned by
+    0.7 radians so that no start lies on the real axis.  Each root stops on
+    its own after the step in which its correction falls below _ABERTH_STEP
+    of its size, or f at it falls to the level of rounding noise."""
+    asc = [complex(c) for c in reversed(desc)]
+    zeros = 0
+    while asc[zeros] == 0:
+        zeros += 1
+    asc = asc[zeros:]
+    dasc = _derivative(asc)
+    mags = [abs(c) for c in asc]
+    n = len(asc) - 1
+    radius = (mags[0] / mags[-1]) ** (1.0 / n) if n else 0.0
+    zs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.7))
+          for k in range(n)]
+    live = list(range(n))
+    for _ in range(_ABERTH_SWEEPS):
+        for k in list(live):
+            z = zs[k]
+            f = _horner(asc, z)
+            repulsion = sum(1 / (z - y) for j, y in enumerate(zs) if j != k)
+            step = f / (_horner(dasc, z) - f * repulsion)
+            zs[k] = z - step
+            if abs(step) <= _ABERTH_STEP * abs(zs[k]) or \
+                    abs(f) <= _ABERTH_NOISE * _horner(mags, abs(z)).real:
+                live.remove(k)
+        if not live:
+            return [0j] * zeros + zs
+    return None
+
+
 # -- critical data -------------------------------------------------------------------
 
 
@@ -196,10 +239,12 @@ def fiber_basis(W: Superpotential, p: complex) -> FiberBasis:
     wc, dc = _complex_coeffs(W)
     shifted = wc[::-1]
     shifted[-1] -= p
-    raw = np.roots(shifted)
+    raw = _roots(shifted)
+    if raw is None:
+        raise PathTooClose(f"fiber at {p}: roots did not converge")
     roots = []
     for r in raw:
-        x = _fiber_newton(wc, dc, p, complex(r))
+        x = _fiber_newton(wc, dc, p, r)
         if x is None:
             raise PathTooClose(f"fiber at {p} did not refine")
         roots.append(x)
@@ -210,6 +255,9 @@ def fiber_basis(W: Superpotential, p: complex) -> FiberBasis:
     return FiberBasis(complex(p), roots, mp / 4.0)
 
 
+_VALUE_GRID = mpmath.mpf("1e-40")  # critical values round to this, relative to scale
+
+
 @functools.lru_cache(maxsize=64)
 def _critical_core(coeffs: Tuple[Fraction, ...]):
     W = Superpotential(coeffs)
@@ -217,15 +265,23 @@ def _critical_core(coeffs: Tuple[Fraction, ...]):
     ddW = _derivative(dW)
     if _poly_gcd_degree(list(dW), list(ddW)) > 0:
         raise NotMorse("W' has a repeated root")
-    raw = np.roots([complex(c) for c in reversed(dW)])
+    raw = _roots([complex(c) for c in reversed(dW)])
+    if raw is None:
+        raise NotMorse("roots of W' did not converge")
     with mpmath.workdps(60):
         cs, dcs = ([mpmath.mpf(c.numerator) / c.denominator for c in p]
                    for p in (W.coefficients, dW))
         ddcs = _derivative(dcs)
-        zs = [_newton_mp(dcs, ddcs, complex(r)) for r in raw]
+        zs = [_newton_mp(dcs, ddcs, r) for r in raw]
         ws_mp = [_horner(cs, z) for z in zs]
-    order = sorted(range(len(zs)),
-                   key=lambda k: (float(ws_mp[k].real), float(ws_mp[k].imag)))
+        # What the seeds leave below the polish must not reach the labels:
+        # round each value to a grid far finer than the polish, so that a
+        # zero part is exactly zero and the parts of a conjugate pair are
+        # exactly equal, then order the grid values exactly.
+        q = _VALUE_GRID * (1 + max(abs(w) for w in ws_mp))
+        ws_mp = [mpmath.mpc(mpmath.nint(w.real / q) * q,
+                            mpmath.nint(w.imag / q) * q) for w in ws_mp]
+    order = sorted(range(len(zs)), key=lambda k: (ws_mp[k].real, ws_mp[k].imag))
     zs = [zs[k] for k in order]
     ws_mp = [ws_mp[k] for k in order]
     ws = [complex(float(w.real), float(w.imag)) for w in ws_mp]

@@ -115,7 +115,7 @@ class LinearSystem:
         values: Dict[int, Fraction] = {}
         for v, stage_rows in reversed(stages):
             values[v] = self._choose_value(v, stage_rows, values)
-        x = [values.get(i, Fraction(0)) for i in range(n)]
+        x = [values.get(i, _ZERO) for i in range(n)]
         for v, const, expr in reversed(subs):
             x[v] = const + sum(c * x[i] for i, c in enumerate(expr))
         return x
@@ -175,15 +175,16 @@ class LinearSystem:
             a = cs[v]
             if a == 0:
                 continue
-            rest = r - sum(c * values.get(i, Fraction(0))
-                           for i, c in enumerate(cs) if i != v and c != 0)
+            # v is not valued yet, and a variable never valued reads 0
+            rest = r - sum(c * values[i] for i, c in enumerate(cs)
+                           if c and i in values)
             bound = rest / a
             if a > 0:
                 uppers.append((bound, strict))
             else:
                 lowers.append((bound, strict))
         if not lowers and not uppers:
-            return Fraction(0)
+            return _ZERO
         if not uppers:
             return max(b for b, _ in lowers) + 1
         if not lowers:

@@ -1,7 +1,11 @@
-"""Every module-level import in the package is used, read off the syntax tree."""
+"""Every module-level import in the package is used, read off the syntax
+tree, and importing the package pulls in no numpy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -34,3 +38,14 @@ def test_an_unused_import_is_reported():
     tree = ast.parse("import os, sys\nfrom json import dumps as d, loads\n"
                      "print(sys.argv, loads)\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "d")]
+
+
+def test_importing_the_package_leaves_numpy_out():
+    code = ("import pkgutil, sys, air, air.cli, air.lefschetz\n"
+            "for m in pkgutil.iter_modules(air.__path__):\n"
+            "    __import__('air.' + m.name)\n"
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'numpy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from air import lefschetz
 from air.lefschetz import (
     CollinearCriticalValues,
     CriticalValueCollision,
@@ -28,6 +29,19 @@ def a_n(n):
     """x^(n+1)/(n+1) - x; critical values on a circle."""
     coeffs = ["0", "-1"] + ["0"] * (n - 1) + [f"1/{n + 1}"]
     return Superpotential.of(coeffs)
+
+
+# W' = (x + 1)(x - 2)(x^2 - 2x + 2): two real critical values and the
+# conjugate pair -47/15 +- 22i/15, whose real parts tie
+CONJUGATE = Superpotential.of(["0", "-4", "1", "2/3", "-3/4", "1/5"])
+
+
+def _expand(roots):
+    """Descending coefficients of the monic polynomial with these roots."""
+    out = [1 + 0j]
+    for z in roots:
+        out = [a - z * b for a, b in zip(out + [0j], [0j] + out)]
+    return out
 
 
 # -- ingestion -----------------------------------------------------------------------
@@ -72,6 +86,42 @@ def test_critical_value_collision():
     # x^4/4 - x^2/2 has critical values 0, -1/4, -1/4
     with pytest.raises(CriticalValueCollision):
         critical_data(Superpotential.of(["0", "0", "-1/2", "0", "1/4"]))
+
+
+# -- the root finder -----------------------------------------------------------------
+
+
+def _root_cases():
+    rng = random.Random(22)
+    for degree in range(2, 8):
+        for _ in range(4):
+            yield [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                   for _ in range(degree + 1)]
+    yield _expand([0j, 1 + 1j, -2 + 0j, 0.5j])               # a root at 0
+    yield _expand([0j, 0j, 3 - 1j])                          # a double root at 0
+    yield _expand([1 + 0j, 1 + 1e-6, -1.5 + 0.5j, 2j, -1j])  # 1e-6 apart
+    yield [1, 0, 0, 0, -1]                                   # symmetric
+
+
+@pytest.mark.parametrize("desc", list(_root_cases()))
+def test_roots_rebuild_the_monic_coefficients(desc):
+    roots = lefschetz._roots(desc)
+    assert len(roots) == len(desc) - 1
+    want = [c / desc[0] for c in desc]
+    got = _expand(roots)
+    assert max(abs(g - w) for g, w in zip(got, want)) \
+        <= 1e-9 * max(abs(w) for w in want)
+
+
+def test_unsettled_roots_raise_typed_errors(monkeypatch):
+    W = Superpotential.of(["1", "-3", "0", "1/2", "1/7"])
+    monkeypatch.setattr(lefschetz, "_ABERTH_SWEEPS", 1)
+    lefschetz._critical_core.cache_clear()
+    with pytest.raises(NotMorse):
+        critical_data(W)
+    with pytest.raises(PathTooClose):
+        fiber_basis(W, 2 + 1j)
+    lefschetz._critical_core.cache_clear()
 
 
 # -- fibers and tracking -------------------------------------------------------------
@@ -179,14 +229,40 @@ def test_chain_transports_bounded():
         for t in md.transports.values():
             assert abs(t[0][0]) <= 1
             assert t[0][0].denominator == 1
-        if n >= 3:
-            assert md.snap_error > 0  # roots of unity are irrational
+        if n in (3, 5):
+            assert md.snap_error > 0  # -3/4 and -5/6 times roots of unity
+        if n == 4:  # -4/5 times the fourth roots of unity: rational
+            assert md.snap_error < 1e-12
+            assert set(md.config.coords.values()) == {
+                (Fraction(4, 5), 0), (Fraction(-4, 5), 0),
+                (0, Fraction(4, 5)), (0, Fraction(-4, 5))}
 
 
 def test_matrix_diagram_deterministic():
     a = matrix_diagram_from_W(a_n(3))
     b = matrix_diagram_from_W(a_n(3))
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("W, points", [
+    (a_n(4), [(Fraction(-4, 5), 0), (0, Fraction(-4, 5)),
+              (0, Fraction(4, 5)), (Fraction(4, 5), 0)]),
+    (CONJUGATE, [(Fraction(-64, 15), 0), (Fraction(-47, 15), Fraction(-22, 15)),
+                 (Fraction(-47, 15), Fraction(22, 15)), (Fraction(203, 60), 0)]),
+], ids=["a_n(4)", "conjugate-pair"])
+def test_labels_do_not_depend_on_the_seeds(W, points, monkeypatch):
+    """Values whose real parts tie are labelled by their imaginary parts,
+    whatever residues the root finder's seeds leave below the polish."""
+    lefschetz._critical_core.cache_clear()
+    md = matrix_diagram_from_W(W)
+    assert [md.config.point(f"w{k + 1}") for k in range(4)] == points
+    roots = lefschetz._roots
+    for shift in (1e-9 * (1 + 1j), 1e-9 * (1 - 1j)):  # residues of either sign
+        monkeypatch.setattr(lefschetz, "_roots", lambda desc, shift=shift: [
+            z + shift for z in reversed(roots(desc))])
+        lefschetz._critical_core.cache_clear()
+        assert matrix_diagram_from_W(W).to_json() == md.to_json()
+    lefschetz._critical_core.cache_clear()
 
 
 def test_step_halving_stable():
