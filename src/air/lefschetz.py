@@ -72,8 +72,7 @@ class Superpotential:
 
     @staticmethod
     def of(coeffs: Sequence) -> "Superpotential":
-        return Superpotential(tuple(parse_rational(c) if isinstance(c, str)
-                                    else Fraction(c) for c in coeffs))
+        return Superpotential(tuple(parse_rational(c) for c in coeffs))
 
     @property
     def degree(self) -> int:

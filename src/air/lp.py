@@ -1,45 +1,56 @@
-"""Exact feasibility for small linear inequality systems.
+"""Exact feasibility for small linear systems with strict rows.
 
-Fourier-Motzkin elimination over Fraction.  Unlike floating-point LP this
-decides *strict* inequalities exactly, which is what regularity of a
-subdivision needs: its local system mixes equalities (marks on a cell's
-lifted plane) with strict folds across interior edges and rows that keep the
-unused points above their cells (see secondary.py).
+Regularity of a subdivision asks whether a system of equalities (marks on a
+cell's lifted plane), strict folds across interior edges and rows that keep
+the unused points above their cells has a solution (see secondary.py).
+Floating-point LP cannot decide the strict rows; this module decides them
+exactly, with a fraction-free simplex method under Bland's rule (Bland, Math.
+Oper. Res. 2, 1977; Chvatal, Linear Programming, 1983, ch. 3).
 
-Systems here are tiny: one variable per point of a planar configuration, and
-about one row per edge and per point, so the doubly exponential worst case of
-the method is irrelevant.
+- Each row becomes its primitive integer multiple (times the lcm of its
+  denominators, over the gcd of the result), so the tableau holds ints.  A
+  strict row a.x < b becomes a.x + t <= b with one common t >= 0.
+- The x are free.  Each enters the basis by a Gauss-Jordan pivot, on the
+  equality rows first; a row that defines an x leaves the ratio test.  An
+  equality row left without x must read 0 = 0.  An x that no row constrains
+  stays nonbasic and reads 0.
+- Phase one: Chvatal's one auxiliary variable clears the negative right-hand
+  sides; if it stays basic at level 0 it is pivoted out.
+- Phase two, when there are strict rows: maximise t under t <= 1.  The
+  system is feasible iff t > 0, so phase two stops at the first basis with
+  t > 0.
+- Pivots are Bareiss steps (as in linalg._reduce): the tableau is D times
+  the rational one, with D the last pivot, and each step divides exactly by
+  the previous D.  D is kept positive.
+
+Worst case: Bland's rule never returns to a basis, so each phase ends on
+every input after at most C(N + m, m) pivots for N nonbasic columns and m
+rows.  That bound is exponential, and Bland's rule can take exponentially
+many pivots (Avis and Chvatal, Math. Prog. Study 8, 1978).  Every tableau
+entry is a minor of the integer rows (Edmonds, J. Res. NBS 71B, 1967), so
+numbers grow only as the Hadamard bound allows.  The systems here have one
+variable per point of a planar configuration and about one row per edge and
+per point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import List, Optional, Sequence, Tuple
 
 from .exactgeom import parse_rational
 
-# A row (coeffs, rhs, strict) encodes sum(coeffs[i] * x[i]) < rhs (strict)
-# or <= rhs (non-strict).
-Row = Tuple[Tuple[Fraction, ...], Fraction, bool]
 
-_ZERO = Fraction(0)
-
-
-def _over(c, s) -> Fraction:
-    """c / s as a Fraction, for an int or Fraction c and a positive s."""
-    if type(c) is int and type(s) is int:
-        return Fraction(c, s) if c else _ZERO
-    return c / s
-
-
-def _normalize(coeffs: Sequence, rhs) -> Tuple[Tuple[Fraction, ...], Fraction]:
-    """The row scaled by a positive constant so that its leading coefficient
-    is +-1.  Int entries stay ints until that division; strings and Fractions
+def _int_row(coeffs: Sequence, rhs) -> List[int]:
+    """The primitive integer multiple of the row, its right-hand side last:
+    the same for every positive multiple of the row.  Strings and Fractions
     go through parse_rational."""
-    cs = [c if type(c) is int else parse_rational(c) for c in coeffs]
-    r = rhs if type(rhs) is int else parse_rational(rhs)
-    s = abs(next((c for c in cs if c), 1))
-    return tuple(_over(c, s) for c in cs), _over(r, s)
+    vals = [c if type(c) is int else parse_rational(c) for c in (*coeffs, rhs)]
+    m = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (m // v.denominator) for v in vals]
+    g = gcd(*ints) or 1
+    return [v // g for v in ints]
 
 
 class LinearSystem:
@@ -47,150 +58,138 @@ class LinearSystem:
 
     def __init__(self, nvars: int):
         self.nvars = nvars
-        self._ineqs: List[Row] = []
-        self._eqs: List[Tuple[Tuple[Fraction, ...], Fraction]] = []
+        self._rows: List[Tuple[List[int], str]] = []
 
     def add_le(self, coeffs: Sequence, rhs) -> None:
-        cs, r = _normalize(coeffs, rhs)
-        self._ineqs.append((cs, r, False))
+        self._rows.append((_int_row(coeffs, rhs), "le"))
 
     def add_lt(self, coeffs: Sequence, rhs) -> None:
-        cs, r = _normalize(coeffs, rhs)
-        self._ineqs.append((cs, r, True))
+        self._rows.append((_int_row(coeffs, rhs), "lt"))
 
     def add_eq(self, coeffs: Sequence, rhs) -> None:
-        cs, r = _normalize(coeffs, rhs)
-        self._eqs.append((cs, r))
+        self._rows.append((_int_row(coeffs, rhs), "eq"))
 
     def feasible_point(self) -> Optional[List[Fraction]]:
         """A point satisfying every constraint, or None if infeasible."""
-        n = self.nvars
-        rows = list(self._ineqs)
+        return _Tableau(self.nvars, self._rows).solve()
 
-        # substitute equalities out first: x[v] = const - sum(c * x[other])
-        subs: List[Tuple[int, Fraction, Tuple[Fraction, ...]]] = []
-        eqs = [(list(cs), r) for cs, r in self._eqs]
-        while eqs:
-            cs, r = eqs.pop()
-            v = next((i for i, c in enumerate(cs) if c != 0), None)
-            if v is None:
-                if r != 0:
+
+class _Tableau:
+    """Rows hold D times the coefficients of the nonbasic variables, then D
+    times the right-hand side: basic + sum(T[j] / D * nonbasic[j]) = T[-1] / D.
+
+    Variables are numbered x[0..n-1], then t (n), then one slack per row
+    (n + 1 + i; for an equality row it is fixed at 0), the slack of t <= 1
+    (n + 1 + m) and the auxiliary (n + 2 + m).  Objective rows, and rows that
+    say nothing, have basic variable -1; a variable numbered n or more is
+    nonnegative, and Bland's rule orders by these numbers.
+    """
+
+    def __init__(self, n: int, rows: Sequence[Tuple[List[int], str]]):
+        self.n = n
+        self.kinds = [kind for _, kind in rows]
+        self.strict = "lt" in self.kinds
+        self.T = [r[:n] + [int(kind == "lt")] + r[n:] for r, kind in rows]
+        self.basic = [n + 1 + i for i in range(len(rows))]
+        self.cols = list(range(n + 1))
+        self.D = 1
+        if self.strict:  # t <= 1
+            self._add_row([0] * n + [1, 1], n + 1 + len(rows))
+        self.obj = self._add_row([0] * n + [-1, 0], -1)  # maximise t
+
+    def _add_row(self, row: List[int], var: int) -> int:
+        self.T.append(row)
+        self.basic.append(var)
+        return len(self.T) - 1
+
+    def _drop_col(self, c: int) -> None:
+        del self.cols[c]
+        for row in self.T:
+            del row[c]
+
+    def _pivot(self, r: int, c: int) -> None:
+        T, D = self.T, self.D
+        pr = T[r]
+        p = pr[c]
+        for i, row in enumerate(T):
+            if i != r:
+                f = row[c]
+                T[i] = [(p * a - f * b) // D for a, b in zip(row, pr)]
+                T[i][c] = -f
+        pr[c] = D
+        self.basic[r], self.cols[c] = self.cols[c], self.basic[r]
+        if p < 0:
+            for row in T:
+                row[:] = [-a for a in row]
+        self.D = abs(p)
+
+    def _bland_step(self, o: int) -> bool:
+        """One pivot that does not lower objective row o, by Bland's rule;
+        False if o is at its optimum."""
+        T, basic, n = self.T, self.basic, self.n
+        enter = [j for j, a in enumerate(T[o][:-1]) if a < 0]
+        if not enter:
+            return False
+        c = min(enter, key=self.cols.__getitem__)
+        r = min((i for i, b in enumerate(basic) if b >= n and T[i][c] > 0),
+                key=lambda i: (Fraction(T[i][-1], T[i][c]), basic[i]))
+        self._pivot(r, c)
+        return True
+
+    def solve(self) -> Optional[List[Fraction]]:
+        n, T, basic = self.n, self.T, self.basic
+        # free variables: the equality rows first, each x or 0 = 0
+        for i, kind in enumerate(self.kinds):
+            if kind != "eq":
+                continue
+            c = next((j for j, v in enumerate(self.cols) if v < n and T[i][j]),
+                     None)
+            if c is None:
+                if T[i][-1]:
                     return None
-                continue
-            inv = 1 / cs[v]
-            expr = tuple(-c * inv if i != v else Fraction(0)
-                         for i, c in enumerate(cs))
-            const = r * inv
-            subs.append((v, const, expr))
-            eqs = [self._subst_eq(e, v, const, expr) for e in eqs]
-            rows = [self._subst_row(row, v, const, expr) for row in rows]
-
-        # Fourier-Motzkin elimination
-        stages: List[Tuple[int, List[Row]]] = []
-        while True:
-            rows = self._dedupe(rows)
-            for cs, r, strict in rows:
-                if all(c == 0 for c in cs):
-                    if r < 0 or (strict and r == 0):
-                        return None
-            rows = [row for row in rows if any(c != 0 for c in row[0])]
-            if not rows:
-                break
-            v = self._pick_variable(rows)
-            stages.append((v, rows))
-            pos = [row for row in rows if row[0][v] > 0]
-            neg = [row for row in rows if row[0][v] < 0]
-            rest = [row for row in rows if row[0][v] == 0]
-            new_rows = list(rest)
-            for pcs, pr, pstrict in pos:
-                pa = pcs[v]
-                for ncs, nr, nstrict in neg:
-                    na = -ncs[v]
-                    cs = tuple(pc / pa + nc / na for pc, nc in zip(pcs, ncs))
-                    cs2, r2 = _normalize(cs, pr / pa + nr / na)
-                    new_rows.append((cs2, r2, pstrict or nstrict))
-            rows = new_rows
-
-        # back-substitute a witness, innermost stage first
-        values: Dict[int, Fraction] = {}
-        for v, stage_rows in reversed(stages):
-            values[v] = self._choose_value(v, stage_rows, values)
-        x = [values.get(i, _ZERO) for i in range(n)]
-        for v, const, expr in reversed(subs):
-            x[v] = const + sum(c * x[i] for i, c in enumerate(expr))
-        return x
-
-    @staticmethod
-    def _subst_row(row: Row, v: int, const: Fraction,
-                   expr: Tuple[Fraction, ...]) -> Row:
-        cs, r, strict = row
-        a = cs[v]
-        if a == 0:
-            return row
-        new = tuple(c + a * e if i != v else Fraction(0)
-                    for i, (c, e) in enumerate(zip(cs, expr)))
-        cs2, r2 = _normalize(new, r - a * const)
-        return (cs2, r2, strict)
-
-    @staticmethod
-    def _subst_eq(eq, v, const, expr):
-        cs, r = eq
-        a = cs[v]
-        if a == 0:
-            return eq
-        new = [c + a * e if i != v else Fraction(0)
-               for i, (c, e) in enumerate(zip(cs, expr))]
-        return (new, r - a * const)
-
-    @staticmethod
-    def _dedupe(rows: List[Row]) -> List[Row]:
-        seen = set()
-        out = []
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        return out
-
-    @staticmethod
-    def _pick_variable(rows: List[Row]) -> int:
-        best, best_cost = -1, None
-        nvars = len(rows[0][0])
-        for v in range(nvars):
-            pos = sum(1 for row in rows if row[0][v] > 0)
-            neg = sum(1 for row in rows if row[0][v] < 0)
-            if pos + neg == 0:
-                continue
-            cost = pos * neg
-            if best_cost is None or cost < best_cost:
-                best, best_cost = v, cost
-        return best
-
-    @staticmethod
-    def _choose_value(v: int, rows: List[Row],
-                      values: Dict[int, Fraction]) -> Fraction:
-        lowers: List[Tuple[Fraction, bool]] = []
-        uppers: List[Tuple[Fraction, bool]] = []
-        for cs, r, strict in rows:
-            a = cs[v]
-            if a == 0:
-                continue
-            # v is not valued yet, and a variable never valued reads 0
-            rest = r - sum(c * values[i] for i, c in enumerate(cs)
-                           if c and i in values)
-            bound = rest / a
-            if a > 0:
-                uppers.append((bound, strict))
+                basic[i] = -1  # 0 = 0: the row says nothing
             else:
-                lowers.append((bound, strict))
-        if not lowers and not uppers:
-            return _ZERO
-        if not uppers:
-            return max(b for b, _ in lowers) + 1
-        if not lowers:
-            return min(b for b, _ in uppers) - 1
-        lo = max(b for b, _ in lowers)
-        up = min(b for b, _ in uppers)
-        if lo == up:
-            return lo
-        return (lo + up) / 2
+                self._pivot(i, c)
+                self._drop_col(c)
+        for c, v in enumerate(self.cols):
+            if v < n:
+                r = next((i for i, b in enumerate(basic) if b > n and T[i][c]),
+                         None)
+                if r is not None:
+                    self._pivot(r, c)
+
+        # phase one: the auxiliary enters in the row of the lowest value
+        low = min((i for i, b in enumerate(basic) if b >= n),
+                  key=lambda i: T[i][-1], default=None)
+        if low is not None and T[low][-1] < 0:
+            aux = n + 2 + len(self.kinds)
+            for row, b in zip(T, basic):
+                row.insert(-1, -self.D if b >= n else 0)
+            self.cols.append(aux)
+            o = self._add_row([0] * len(self.cols) + [0], -1)
+            T[o][-2] = self.D  # maximise -aux
+            self._pivot(low, len(self.cols) - 1)
+            while T[o][-1] < 0:
+                if not self._bland_step(o):
+                    return None
+            if aux in basic:
+                r = basic.index(aux)
+                c = next((j for j, a in enumerate(T[r][:-1]) if a), None)
+                if c is None:
+                    basic[r] = -1
+                else:
+                    self._pivot(r, c)
+            if aux in self.cols:
+                self._drop_col(self.cols.index(aux))
+            del T[o], basic[o]
+
+        # phase two: a basis with t > 0
+        if self.strict:
+            while T[self.obj][-1] <= 0:
+                if not self._bland_step(self.obj):
+                    return None
+        x = [Fraction(0)] * n
+        for row, b in zip(T, basic):
+            if 0 <= b < n:
+                x[b] = Fraction(row[-1], self.D)
+        return x

@@ -26,6 +26,28 @@ class EmptyScene(ValueError):
     pass
 
 
+class MalformedScene(ValueError):
+    """A scene document lacks a key or has the wrong shape."""
+
+
+def _get(obj, key: str, where: str):
+    if key not in obj:
+        raise MalformedScene(f"{where} lacks key {key!r}")
+    return obj[key]
+
+
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise MalformedScene(f"{where} must be a JSON list, not {v!r}")
+    return v
+
+
+def _labels(v, where: str) -> List[str]:
+    if not all(isinstance(l, str) for l in _list(v, where)):
+        raise MalformedScene(f"{where} must list string labels, not {v!r}")
+    return list(v)
+
+
 @dataclass
 class Overlay:
     kind: str                      # "triangulation" | "path" | "hull" | "rays"
@@ -45,16 +67,26 @@ class Overlay:
 
     @staticmethod
     def from_obj(obj: dict) -> "Overlay":
+        if not isinstance(obj, dict):
+            raise MalformedScene(
+                f"an overlay must be a JSON object, not {obj!r}")
         kind = obj.get("kind")
         if kind == "triangulation":
-            return Overlay("triangulation", cells=[list(c) for c in obj["cells"]])
+            cells = _list(_get(obj, "cells", "a triangulation"), "cells")
+            return Overlay("triangulation",
+                           cells=[_labels(c, "a cell") for c in cells])
         if kind == "path":
-            return Overlay("path", vertices=list(obj["vertices"]))
+            return Overlay("path", vertices=_labels(
+                _get(obj, "vertices", "a path"), "vertices"))
         if kind == "hull":
             return Overlay("hull")
         if kind == "rays":
-            rays = [Direction.of(int(a), int(b))
-                    for a, b in (s.split(",") for s in obj.get("rays", []))]
+            rays = []
+            for r in _list(obj.get("rays", []), "rays"):
+                parts = r.split(",") if isinstance(r, str) else []
+                if len(parts) != 2:
+                    raise MalformedScene(f"a ray must read 'dx,dy', not {r!r}")
+                rays.append(Direction.of(int(parts[0]), int(parts[1])))
             return Overlay("rays", rays=rays)
         raise ValueError(f"unknown overlay kind: {kind!r}")
 
@@ -91,12 +123,21 @@ class Scene:
 
     @staticmethod
     def from_obj(obj: dict) -> "Scene":
-        config = PointConfig.from_obj(obj["config"])
-        overlays = [Overlay.from_obj(o) for o in obj.get("overlays", [])]
+        if not isinstance(obj, dict):
+            raise MalformedScene(f"a scene must be a JSON object, not {obj!r}")
+        config = PointConfig.from_obj(_get(obj, "config", "a scene"))
+        overlays = [Overlay.from_obj(o)
+                    for o in _list(obj.get("overlays", []), "overlays")]
         viewport = None
         if "viewport" in obj:
-            viewport = tuple(parse_rational(v) for v in obj["viewport"])
-        return Scene(config, overlays, viewport, dict(obj.get("style", {})))
+            corners = _list(obj["viewport"], "viewport")
+            if len(corners) != 4:
+                raise MalformedScene("viewport must list xmin, ymin, xmax, ymax")
+            viewport = tuple(parse_rational(v) for v in corners)
+        style = obj.get("style", {})
+        if not isinstance(style, dict):
+            raise MalformedScene(f"style must be a JSON object, not {style!r}")
+        return Scene(config, overlays, viewport, dict(style))
 
     @staticmethod
     def from_json(text: str) -> "Scene":

@@ -22,17 +22,18 @@ hull, and convex across every edge; such a function on a convex domain is
 convex, and with strict folds every plane lies strictly below the lift off
 its own cell.  So each point lies strictly above the plane of every cell
 that does not contain it, which is the global cells x points system.  The
-rows go to the Fourier-Motzkin solver, and the witness heights it returns
-reproduce the subdivision on lift.  The lift itself (lift_marked_subdivision)
-reads its lower faces from the same plane row as the regularity rows.
+rows go to the exact simplex solver (lp.py), and the witness heights it
+returns reproduce the subdivision on lift.  The lift itself
+(lift_marked_subdivision) reads its lower faces from the same plane row as
+the regularity rows.
 
 Geometry runs on the configuration's integer grid (exactgeom): hulls,
 point-in-cell tests and turn tests read grid pairs, cell areas are integers
 scale**2 times the rational ones, and plane rows have integer coefficients
 scale**2 times the rational ones.  A row is only ever compared with 0 or
-handed to the solver, which divides it by its leading coefficient, so the
-decisions and the witness heights are those of the rational rows.  GKZ
-vectors are divided by scale**2 where they are returned.
+handed to the solver, which reduces every row to its primitive integer
+multiple, so the decisions and the witness heights are those of the rational
+rows.  GKZ vectors are divided by scale**2 where they are returned.
 
 The standing assumption throughout is a generic configuration (no three points
 collinear, see exactgeom.check_genericity); validation is complete under that

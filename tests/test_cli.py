@@ -243,6 +243,22 @@ def test_lefschetz_subcommand():
     assert json.loads(err)["error"] == "NotMorse"
 
 
+@pytest.mark.parametrize("coeffs", ['[null]', '[[1]]', '[{"a": 1}]',
+                                    '["0", "x", "1"]', '[0, NaN, 1]'])
+def test_lefschetz_rejects_junk_coefficients(coeffs):
+    code, out, err = invoke("lefschetz", "--coeffs", coeffs)
+    assert code == 1 and out == b""
+    assert json.loads(err)["error"] == "GeometryError"
+
+
+def test_lefschetz_reads_a_json_number_as_its_decimal():
+    code, out, _ = invoke("lefschetz", "--coeffs", '["0", 0.1, "0", "1"]')
+    assert code == 0
+    assert out == invoke("lefschetz", "--coeffs", '["0", "1/10", "0", "1"]')[1]
+    from air.lefschetz import Superpotential
+    assert Superpotential.of([0, 0.1, 0, 1]).coefficients[1] == Fraction(1, 10)
+
+
 def test_wallcross_subcommand(md):
     _, path = md
     code, out, _ = invoke("wallcross", "--config", path, "--ray", "2,1")
@@ -323,6 +339,32 @@ def test_render_empty_scene_domain_error(tmp_path):
     code, _, err = invoke("render", "--scene", str(path))
     assert code == 1
     assert json.loads(err)["error"] == "EmptyScene"
+
+
+_POINTS = {"points": [{"label": "a", "x": "0", "y": "0"},
+                      {"label": "b", "x": "1", "y": "1"}]}
+
+
+@pytest.mark.parametrize("scene", [
+    {},
+    [],
+    {"config": _POINTS, "overlays": 5},
+    {"config": _POINTS, "overlays": [5]},
+    {"config": _POINTS, "overlays": [{"kind": "triangulation"}]},
+    {"config": _POINTS, "overlays": [{"kind": "triangulation", "cells": [5]}]},
+    {"config": _POINTS, "overlays": [{"kind": "path"}]},
+    {"config": _POINTS, "overlays": [{"kind": "path", "vertices": 5}]},
+    {"config": _POINTS, "overlays": [{"kind": "rays", "rays": [5]}]},
+    {"config": _POINTS, "viewport": 5},
+    {"config": _POINTS, "viewport": [0, 0, 1]},
+    {"config": _POINTS, "style": [1]},
+])
+def test_render_malformed_scene_is_a_domain_error(tmp_path, scene):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code, out, err = invoke("render", "--scene", str(path))
+    assert code == 1 and out == b""
+    assert json.loads(err)["error"] == "MalformedScene"
 
 
 def test_render_rejects_unknown_labels():

@@ -1,4 +1,7 @@
+import hashlib
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from air.lp import LinearSystem
@@ -123,3 +126,80 @@ def test_lift_style_system():
     assert x is not None
     ha, hb, hc, hd = x
     assert ha - hb + hc < hd
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, rather than block, if the body runs longer than the deadline."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer in {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# 9 inequalities in 5 variables on which Fourier-Motzkin elimination grew
+# without bound (no answer in 60 s)
+_HARD = [
+    ("lt", [0, -3, -2, 2, 3], 2),
+    ("le", [-2, -1, 2, 3, -2], -3),
+    ("le", [2, 3, -2, -3, -3], -3),
+    ("lt", [-1, 1, 0, -3, 0], -1),
+    ("lt", [1, -2, -2, 1, -3], -1),
+    ("le", [1, 2, 1, 1, 1], 3),
+    ("le", [0, -1, 3, 0, -3], -2),
+    ("lt", [3, -2, -2, -3, -2], 2),
+    ("le", [-3, 3, -1, -3, -1], -4),
+]
+
+
+def test_hard_system_is_infeasible_with_a_farkas_certificate():
+    # y >= 0 with y.A = 0 and y.b < 0: no x has A x <= b, strict or not
+    y = [488, 220, 246, 423, 0, 371, 219, 0, 0]
+    assert [sum(yi * row[j] for yi, (_, row, _) in zip(y, _HARD))
+            for j in range(5)] == [0] * 5
+    assert sum(yi * rhs for yi, (_, _, rhs) in zip(y, _HARD)) == -170
+    sys = LinearSystem(5)
+    for kind, coeffs, rhs in _HARD:
+        getattr(sys, "add_" + kind)(coeffs, rhs)
+    with _deadline(10):
+        assert sys.feasible_point() is None
+
+
+def _draws(rng, trials):
+    """Random systems: 2-6 variables, 1-9 rows of small integers, each row
+    le, lt or eq."""
+    for _ in range(trials):
+        n = rng.randint(2, 6)
+        rows = []
+        for _ in range(rng.randint(1, 9)):
+            kind = rng.choice(("le", "lt", "eq"))
+            rows.append((kind, [rng.randint(-3, 3) for _ in range(n)],
+                         rng.randint(-4, 4)))
+        yield n, rows
+
+
+# sha256 of the feasible (1) / infeasible (0) pattern of _draws(Random(5),
+# 300), recorded with the Fourier-Motzkin solver: 209 feasible, 91 not
+DECISIONS = "96ddaed797fe03cee641e6a43d2c0922f2644450ac8ff1d515e1a57b9dd5fa58"
+
+
+def test_seeded_decisions_and_witnesses():
+    pattern = ""
+    for n, rows in _draws(random.Random(5), 300):
+        sys = LinearSystem(n)
+        for kind, coeffs, rhs in rows:
+            getattr(sys, "add_" + kind)(coeffs, rhs)
+        x = sys.feasible_point()
+        pattern += "0" if x is None else "1"
+        if x is not None:
+            for kind, coeffs, rhs in rows:
+                val = sum(c * xi for c, xi in zip(coeffs, x))
+                assert {"lt": val < rhs, "le": val <= rhs,
+                        "eq": val == rhs}[kind]
+    assert pattern.count("0") == 91
+    assert hashlib.sha256(pattern.encode()).hexdigest() == DECISIONS

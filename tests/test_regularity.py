@@ -162,20 +162,29 @@ def test_lower_faces_agree_with_the_plane_solve():
                 _oracle_lower_faces(cfg, heights)
 
 
-def test_integer_plane_rows_normalize_as_their_fraction_copies():
-    # the solver divides each row by its leading coefficient; on int rows it
-    # builds Fraction(c, |lead|) directly, and must give the Fraction row
-    from air.lp import _normalize
+def test_plane_rows_give_one_point_under_positive_scaling():
+    # int plane rows, their Fraction copies and positive rational multiples
+    # of each row describe the same system, and the solver must see one; each
+    # row bounds the height of its own point, so every system is feasible
     from air.secondary import _plane_row
     for cfg in (MOA, random_generic_config(random.Random(7), 6)):
         g = cfg.grid
         index = {l: i for i, l in enumerate(cfg.labels)}
         for cell in combinations(cfg.labels, 3):
-            for s in cfg.labels:
-                row = _plane_row(g, index, cell, s)
-                for rhs in (0, -3):
-                    got = _normalize(row, rhs)
-                    assert got == _normalize([Fraction(c) for c in row],
-                                             Fraction(rhs))
-                    assert all(type(c) is Fraction for c in got[0] + (got[1],))
-                    assert next((abs(c) for c in got[0] if c), 1) == 1
+            rows = [(_plane_row(g, index, cell, s), k % 3 - 1, k % 2 == 1)
+                    for k, s in enumerate(cfg.labels) if s not in cell]
+            points = []
+            for scale in (None, Fraction(1), Fraction(2, 3), Fraction(7)):
+                sys = LinearSystem(len(index))
+                for row, rhs, strict in rows:
+                    if scale is not None:
+                        row = [c * scale for c in row]
+                        rhs = rhs * scale
+                    (sys.add_lt if strict else sys.add_le)(row, rhs)
+                points.append(sys.feasible_point())
+            assert points[1:] == points[:-1]
+            x = points[0]
+            assert all(type(v) is Fraction for v in x)
+            for row, rhs, strict in rows:
+                val = sum(c * v for c, v in zip(row, x))
+                assert val < rhs if strict else val <= rhs
