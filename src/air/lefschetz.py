@@ -4,16 +4,20 @@ This is the only module that touches floating point.  Roots of W' and of
 W - p come from the Aberth-Ehrlich simultaneous iteration on Python complex
 numbers; roots of W' are then polished by high-precision Newton until the
 residual drops below 1e-30; fibers W(x) = p are tracked along polylines
-by a predictor-corrector loop whose steps halve until Newton stays well
-inside the current root separation.  Everything exported downstream is
-snapped to exact rationals or integers, with hard failure when a snap is
-ambiguous, so the exact modules never see a float.
+in steps that each restart Newton from the previous fiber's roots (there is
+no predictor), halving until every root converges within a third of the
+current root separation.  Everything exported downstream is snapped to
+exact rationals or integers, with hard failure when a snap is ambiguous, so
+the exact modules never see a float.
 
 The vanishing class of a critical value is the difference [p] - [q] of the
 two fiber roots that collide there, the pair ordered by the angle at which
 the roots approach the critical point.  Transport to a segment midpoint and
 the integer pairing <[p]-[q], [r]-[s]> = d_pr + d_qs - d_ps - d_qr give the
-rank-one transports; local loops give mu = -1.  Absolute signs are
+rank-one transports.  Every monodromy is -1 by the Picard-Lefschetz
+theorem: W is Morse and its critical values are pairwise distinct, so a
+loop around one critical value alone swaps the two roots that collide there
+and sends the vanishing class to its negative.  Absolute signs are
 convention-relative, so tests pin magnitudes and composite identities.
 """
 
@@ -219,18 +223,28 @@ def _newton_mp(cs: Sequence, ds: Sequence, seed: complex):
     return z
 
 
-def _fiber_newton(wc: List[complex], dc: List[complex],
-                  p: complex, x: complex) -> Optional[complex]:
-    for _ in range(60):
-        f = _horner(wc, x) - p
-        d = _horner(dc, x)
-        if d == 0:
+def _newton_sweep(wc: List[complex], dc: List[complex], p: complex,
+                  xs: Sequence[complex], limit: float) -> Optional[List[complex]]:
+    """Newton on W(x) = p from each of xs in turn; the converged roots, or
+    None as soon as one root fails to converge or moves more than limit."""
+    out = []
+    for x0 in xs:
+        x = x0
+        for _ in range(60):
+            f = _horner(wc, x) - p
+            d = _horner(dc, x)
+            if d == 0:
+                return None
+            step = f / d
+            x -= step
+            if abs(step) < 1e-14 * (1.0 + abs(x)):
+                break
+        else:
             return None
-        step = f / d
-        x -= step
-        if abs(step) < 1e-14 * (1.0 + abs(x)):
-            return x
-    return None
+        if abs(x - x0) > limit:
+            return None
+        out.append(x)
+    return out
 
 
 def fiber_basis(W: Superpotential, p: complex) -> FiberBasis:
@@ -241,12 +255,9 @@ def fiber_basis(W: Superpotential, p: complex) -> FiberBasis:
     raw = _roots(shifted)
     if raw is None:
         raise PathTooClose(f"fiber at {p}: roots did not converge")
-    roots = []
-    for r in raw:
-        x = _fiber_newton(wc, dc, p, r)
-        if x is None:
-            raise PathTooClose(f"fiber at {p} did not refine")
-        roots.append(x)
+    roots = _newton_sweep(wc, dc, p, raw, math.inf)
+    if roots is None:
+        raise PathTooClose(f"fiber at {p} did not refine")
     roots.sort(key=lambda z: (z.real, z.imag))
     mp = _min_pairwise(roots)
     if not mp > 1e-9 * _scale(roots):
@@ -360,6 +371,8 @@ class TrackResult:
     roots: List[complex]          # end fiber, ordered by starting index
     perm: Optional[List[int]]     # for closed paths: end index k sits at
     #                               basis position perm[k]
+    steps: int = 0                # accepted steps
+    halvings: int = 0             # rejected steps, each halving the next
 
 
 def _as_complex_path(path: Sequence) -> List[complex]:
@@ -374,11 +387,19 @@ def _as_complex_path(path: Sequence) -> List[complex]:
     return out
 
 
+def _check_max_step(max_step: float) -> None:
+    if not 0 < max_step <= 1:
+        raise ValueError(f"max_step must lie in (0, 1], not {max_step}")
+
+
 def track_fiber(W: Superpotential, path: Sequence, basis: FiberBasis,
                 max_step: float = 0.25) -> TrackResult:
-    """Continue all fiber roots along the polyline by predictor-corrector
-    steps, halving the step until Newton stays well inside the current
-    separation.  For closed paths the end-to-start matching is returned."""
+    """Continue all fiber roots along the polyline.  Each step, at most
+    max_step of a segment, restarts Newton from the previous roots and is
+    accepted when every root converges within a third of the current
+    separation and the new roots stay apart; otherwise the step halves.
+    For closed paths the end-to-start matching is returned."""
+    _check_max_step(max_step)
     pts = _as_complex_path(path)
     if len(pts) < 1:
         raise ValueError("empty path")
@@ -393,6 +414,8 @@ def track_fiber(W: Superpotential, path: Sequence, basis: FiberBasis,
                 raise PathTooClose(f"path passes within {margin} of {w}")
     wc, dc = _complex_coeffs(W)
     xs = list(basis.roots)
+    sep = _min_pairwise(xs)
+    steps = halvings = 0
     for a, b in zip(pts, pts[1:]):
         if a == b:
             continue
@@ -400,25 +423,19 @@ def track_fiber(W: Superpotential, path: Sequence, basis: FiberBasis,
         while t < 1.0:
             step = min(h, 1.0 - t)
             target = a + (t + step) * (b - a)
-            sep_now = _min_pairwise(xs)
-            nxt = []
-            ok = True
-            for x in xs:
-                y = _fiber_newton(wc, dc, target, x)
-                if y is None or abs(y - x) > sep_now / 3.0:
-                    ok = False
-                    break
-                nxt.append(y)
-            if ok and _min_pairwise(nxt) < 1e-9 * s:
-                ok = False
-            if ok:
-                xs = nxt
-                t += step
-                h = min(h * 2.0, max_step)
-            else:
-                h /= 2.0
-                if h < 1e-9:
-                    raise StepUnderflow(f"step collapsed near {target}")
+            nxt = _newton_sweep(wc, dc, target, xs, sep / 3.0)
+            if nxt is not None:
+                sep_nxt = _min_pairwise(nxt)
+                if sep_nxt >= margin:
+                    xs, sep = nxt, sep_nxt
+                    t += step
+                    h = min(h * 2.0, max_step)
+                    steps += 1
+                    continue
+            h /= 2.0
+            halvings += 1
+            if h < 1e-9:
+                raise StepUnderflow(f"step collapsed near {target}")
     perm = None
     if pts[-1] == pts[0]:
         perm = []
@@ -430,7 +447,7 @@ def track_fiber(W: Superpotential, path: Sequence, basis: FiberBasis,
             perm.append(j)
         if sorted(perm) != list(range(len(xs))):
             raise StepUnderflow("end matching is not a permutation")
-    return TrackResult(xs, perm)
+    return TrackResult(xs, perm, steps, halvings)
 
 
 def _segment_distance(a: complex, b: complex, w: complex) -> float:
@@ -478,9 +495,20 @@ def matrix_diagram_from_W(W: Superpotential,
     are integer intersection pairings of vanishing classes tracked to the
     midpoint of each pair of critical values, monodromies are -1.
 
+    The monodromies are proved, not tracked.  `_critical_core` enforces two
+    exact facts: W' and W'' are coprime, so every critical point is Morse,
+    and the critical values are pairwise distinct (at 60 digits, and again
+    after snapping below), so exactly one critical point lies over each.  A
+    loop that winds once around w_i alone then acts on the fiber by the
+    transposition of the two roots that collide over w_i, and sends the
+    vanishing class to its negative (Picard-Lefschetz; Arnold, Gusein-Zade
+    and Varchenko, Singularities of Differentiable Maps II, 1988): mu = -1.
+    `total_monodromy_check` still tracks every local loop.
+
     The result carries a `snap_error` attribute, the largest distance moved
     by any coordinate when the critical values were snapped to rationals
     with denominator at most 10^6 (zero when exactly representable)."""
+    _check_max_step(max_step)
     data = critical_data(W)
     ws, zs = data.values, data.points
     n = len(ws)
@@ -511,15 +539,6 @@ def matrix_diagram_from_W(W: Superpotential,
         transports[(labels[i], labels[j])] = t
         transports[(labels[j], labels[i])] = [[Fraction(raw)]]
     mono = {l: [[Fraction(-1)]] for l in labels}
-    for i in range(n):
-        nbr = min((abs(ws[j] - ws[i]) for j in range(n) if j != i),
-                  default=2.0)
-        base = ws[i] + 0.45 * nbr
-        perm = loop_permutation(W, ws[i], base, max_step)
-        moved = [k for k, v in enumerate(perm) if v != k]
-        if len(moved) != 2 or perm[moved[0]] != moved[1]:
-            raise SnapFailure(f"local loop at {labels[i]} is not a "
-                              "transposition")
     dims = {l: 1 for l in labels}
     md = MatrixDiagram(config, dims, mono, transports)
     md.snap_error = snap_error

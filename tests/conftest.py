@@ -1,7 +1,9 @@
 """Seeded random generators shared by the tests: the acceptance gate's own,
 under the names the tests use, and generic configurations with mixed
-denominators."""
+denominators; and a deadline for bodies that must not hang."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from air.acceptance import (  # noqa: F401
@@ -26,3 +28,17 @@ def random_mixed_config(rng, n):
         cfg = PointConfig.of(items)
         if check_genericity(cfg):
             return cfg
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, rather than block, if the body runs longer than the deadline."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer in {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

@@ -1,5 +1,6 @@
 """Superpotential ingestion: critical data, tracking, exact diagrams."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import mpmath
 import pytest
 
 from air import lefschetz
+from air.acceptance import _random_morse
 from air.lefschetz import (
     CollinearCriticalValues,
     CriticalValueCollision,
@@ -21,6 +23,8 @@ from air.lefschetz import (
     total_monodromy_check,
     track_fiber,
 )
+
+from conftest import deadline
 
 A2 = Superpotential.of(["0", "-1", "0", "1/3"])  # x^3/3 - x
 
@@ -189,6 +193,97 @@ def test_track_needs_matching_basepoint():
     basis = fiber_basis(A2, 2 + 1j)
     with pytest.raises(ValueError):
         track_fiber(A2, [5 + 5j, 6 + 5j], basis)
+
+
+@pytest.mark.parametrize("max_step", [0.0, math.nan, -0.5, 1.5])
+def test_max_step_out_of_range_is_rejected(max_step):
+    basis = fiber_basis(A2, 2 + 1j)
+    square = Superpotential.of(["0", "0", "1"])  # one critical value, no pair
+    with deadline(10):
+        with pytest.raises(ValueError, match="max_step"):
+            track_fiber(A2, [2 + 1j, 3 + 1j], basis, max_step=max_step)
+        with pytest.raises(ValueError, match="max_step"):
+            loop_permutation(A2, -2 / 3, 0.0, max_step=max_step)
+        with pytest.raises(ValueError, match="max_step"):
+            matrix_diagram_from_W(square, max_step=max_step)
+        with pytest.raises(ValueError, match="max_step"):
+            total_monodromy_check(A2, max_step=max_step)
+
+
+def test_steps_and_halvings_are_counted():
+    basis = fiber_basis(A2, 2 + 1j)
+    res = track_fiber(A2, [2 + 1j, 2 + 1j], basis)
+    assert (res.steps, res.halvings) == (0, 0)
+    res = track_fiber(A2, [2 + 1j, 3 + 1j], basis, max_step=0.25)
+    assert res.steps >= 4
+    res = track_fiber(A2, [2 + 1j, 3 + 1j], basis, max_step=1.0)
+    assert res.steps >= 1  # a whole segment is the largest step allowed
+    data = critical_data(A2)
+    p0, w = data.basis.basepoint, data.values[0]
+    res = track_fiber(A2, [p0, w + 1e-4 * (p0 - w) / abs(p0 - w)], data.basis)
+    assert res.halvings > 0  # steps shrink as two roots close in
+
+
+# sha256 of repr((roots, perm)) per W for a leg from the basepoint to just
+# short of the first critical value, the circle about the centroid of the
+# critical values through the basepoint, and the leg again at max_step =
+# 1/8 (which ends on the same bits as the first leg)
+_TRACK_GOLDEN = {
+    ("0", "-1", "0", "1/3"): (
+        "d57f98c6777446999be1c67d30b587e8f03a46fa41886b50986d1cbd79fd517a",
+        "ec24795c5376d7475b5589499dee4409b15eafe09965859993b5e66c7a42eae4",
+        "d57f98c6777446999be1c67d30b587e8f03a46fa41886b50986d1cbd79fd517a"),
+    ("0", "26", "-19", "9", "-2", "1/5"): (
+        "30e9d450669fe28dcae604fa3a38b14008e1fda4cc52ffaaa2dfb9148b1c1b12",
+        "20c7f7469abeb15913d9a5509ac3693f18b632a07b6f0cb1f94d575b606bbcb8",
+        "30e9d450669fe28dcae604fa3a38b14008e1fda4cc52ffaaa2dfb9148b1c1b12"),
+    ("0", "-8", "-4", "-2/3", "1/2", "1/5"): (
+        "9ac1cd9222a9843fa583f4f0b31cbd2547add6f00118a98f5ac8bf58ad1437b4",
+        "3ed3ce2d6295dd43c23f6a780d10cd9d86b37c194a77f54ca0adf9582e77a302",
+        "9ac1cd9222a9843fa583f4f0b31cbd2547add6f00118a98f5ac8bf58ad1437b4"),
+    ("0", "100", "0", "-16/3", "0", "1/5"): (
+        "0d063940d9270036fa4188ad56589f4acf051f717eb73deeb6bfeaa30e13d00f",
+        "41fcb6487070457b16be491406eeea46d3a810fdf05022e4c62edf4be3d9447e",
+        "0d063940d9270036fa4188ad56589f4acf051f717eb73deeb6bfeaa30e13d00f"),
+}
+
+
+@pytest.mark.parametrize("coeffs", list(_TRACK_GOLDEN), ids=[
+    "A2", "bench-0", "bench-1", "bench-2"])
+def test_tracked_fibers_are_bit_identical(coeffs):
+    """The tracker's floats, pinned bit for bit: A2 and three degree-5 W of
+    the superpotential bench's shape."""
+    W = Superpotential.of(coeffs)
+    data = critical_data(W)
+    p0, w = data.basis.basepoint, data.values[0]
+    stop = w - 1e-4 * lefschetz._scale([w, p0]) * (w - p0) / abs(w - p0)
+    centroid = sum(data.values) / len(data.values)
+    tracks = [track_fiber(W, [p0, stop], data.basis),
+              track_fiber(W, lefschetz._circle(centroid, p0), data.basis),
+              track_fiber(W, [p0, stop], data.basis, max_step=0.125)]
+    assert tuple(hashlib.sha256(repr((r.roots, r.perm)).encode()).hexdigest()
+                 for r in tracks) == _TRACK_GOLDEN[coeffs]
+
+
+def test_local_loops_are_transpositions():
+    """The Picard-Lefschetz fact behind mu = -1 in matrix_diagram_from_W:
+    the circle of 0.45 times the distance to the nearest other critical
+    value, through the fiber beside it, swaps exactly two roots."""
+    rng = random.Random(3)
+    done = 0
+    while done < 30:
+        W = _random_morse(rng)
+        try:
+            matrix_diagram_from_W(W)
+        except ValueError:
+            continue
+        ws = critical_data(W).values
+        for w in ws:
+            nbr = min((abs(v - w) for v in ws if v != w), default=2.0)
+            perm = loop_permutation(W, w, w + 0.45 * nbr)
+            moved = [k for k, v in enumerate(perm) if v != k]
+            assert len(moved) == 2 and perm[moved[0]] == moved[1], perm
+        done += 1
 
 
 # -- exact diagrams ------------------------------------------------------------------

@@ -1,10 +1,10 @@
 import hashlib
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 from air.lp import LinearSystem
+
+from conftest import deadline
 
 
 def _check(sys_builder, nvars, expect_feasible):
@@ -128,20 +128,6 @@ def test_lift_style_system():
     assert ha - hb + hc < hd
 
 
-@contextmanager
-def _deadline(seconds):
-    """Fail, rather than block, if the body runs longer than the deadline."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer in {seconds} s")
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
 # 9 inequalities in 5 variables on which Fourier-Motzkin elimination grew
 # without bound (no answer in 60 s)
 _HARD = [
@@ -166,7 +152,7 @@ def test_hard_system_is_infeasible_with_a_farkas_certificate():
     sys = LinearSystem(5)
     for kind, coeffs, rhs in _HARD:
         getattr(sys, "add_" + kind)(coeffs, rhs)
-    with _deadline(10):
+    with deadline(10):
         assert sys.feasible_point() is None
 
 
