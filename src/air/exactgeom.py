@@ -27,6 +27,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -41,13 +42,41 @@ class GeometryError(ValueError):
     pass
 
 
+# Decimal exponents beyond this are refused: Fraction would build 10**exp,
+# at a cost that grows with the exponent, and a float never exceeds 324.
+MAX_EXPONENT = 4000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
+
 def parse_rational(text) -> Fraction:
-    """Parse "7", "-3/4" (or an int) into a Fraction."""
-    if isinstance(text, Fraction):
+    """Parse "7", "-3/4", "0.25", "1e-3" (or an int) into a Fraction.
+
+    The forms format_rational writes ("n", "-n", "n/d" in ASCII digits) are
+    read with int; every other string goes to Fraction, so both paths accept
+    the same strings.  Booleans and exponents beyond MAX_EXPONENT are refused
+    with GeometryError."""
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        if text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit() and den.strip("0"):
+                return Fraction(int(num), int(den))
+    elif isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    elif isinstance(text, bool):
+        raise GeometryError(f"not a rational number: {text!r}")
+    elif isinstance(text, int):
         return Fraction(text)
     s = str(text).strip()
+    m = _EXPONENT.search(s)
+    if m is not None:
+        try:
+            huge = abs(int(m.group(1))) > MAX_EXPONENT
+        except ValueError:  # too many digits for int, and so for Fraction
+            huge = False
+        if huge:
+            raise GeometryError(f"exponent beyond {MAX_EXPONENT}: {text!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -259,7 +288,11 @@ class PointConfig:
     @staticmethod
     def from_obj(obj: dict) -> "PointConfig":
         try:
-            items = [(e["label"], e["x"], e["y"]) for e in obj["points"]]
+            points = obj["points"]
+            if not isinstance(points, list):
+                raise TypeError(f"points must be a list, not "
+                                f"{type(points).__name__}")
+            items = [(e["label"], e["x"], e["y"]) for e in points]
         except (KeyError, TypeError) as exc:
             raise GeometryError(f"malformed point configuration: {exc}") from exc
         bad = [l for l, _, _ in items if not isinstance(l, str)]

@@ -20,6 +20,14 @@ C_ij = sum_a F[(a, j)]; that is O(n^3) block products per source.
 enumerate_convex_paths still lists the paths, for `air paths` and as the
 definition the tests compare against.
 
+The program runs on ints, as the elimination in linalg does.  With D the lcm
+of the denominators of the transports it reads, A_ij = D t_ij is an integer
+matrix, and for source position s it keeps F[(a, b)] scaled by D^(pos b - s),
+so the step t_bc F[(a, b)] becomes A_bc F[(a, b)] D^(pos c - pos b - 1).
+Each entry of C_ij is divided by D^(pos j - s) once, when it is emitted.
+When D = 1, as for every diagram read off a superpotential, nothing is
+scaled.
+
 An independent oracle reassembles the same matrix as an angle-ordered product
 of elementary factors Id + t_ij E_ij, multiplied so that factors of smaller
 angle from zeta act later; equality of the two is the headline acceptance
@@ -51,8 +59,9 @@ from .exactgeom import (
     rho,
     vsub,
 )
-from .linalg import (Matrix, _block_layout, block_matrix, block_of, identity,
-                     inverse, mat_add, mat_from_obj, mat_mul, mat_to_obj,
+from .linalg import (Matrix, _block_layout, block_matrix, block_of,
+                     common_denominator, from_ints, identity, inverse,
+                     mat_addmul, mat_from_obj, mat_mul, mat_to_obj, to_ints,
                      zeros)
 from .lp import LinearSystem
 from .perv import MatrixDiagram
@@ -283,34 +292,48 @@ class StokesMatrix:
 
 def stokes_matrix(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
     """C_ij = sum over convex paths i -> j of the transport composites, by
-    the dynamic program over last edges (see the module docstring)."""
+    the dynamic program over last edges, run on ints (see the module
+    docstring)."""
     config = md.config
     order = _frame(config, zeta).order
     dims = md.phi_dims
     n = len(order)
     pts = config.grid
-    # (a, b) -> the labels c after b at which a -> b -> c turns right
-    turns = {(order[x], order[y]): [c for c in order[y + 1:]
+    # (a, b) -> the positions of the labels c after b at which a -> b -> c
+    # turns right
+    turns = {(order[x], order[y]): [z for z in range(y + 1, n)
                                     if orient(pts[order[x]], pts[order[y]],
-                                              pts[c]) < 0]
+                                              pts[order[z]]) < 0]
              for x in range(n) for y in range(x + 1, n)}
+    D = common_denominator(md.t(i, j) for i, j in turns)
+    A = {(i, j): to_ints(md.t(i, j), D) for i, j in turns}  # A_ij = D t_ij
+    power = [D ** k for k in range(n)]
     blocks: Dict[Tuple[str, str], Matrix] = {}
     for s in range(n):
         i = order[s]
-        # F[(a, b)]: summed composites of the convex paths from i ending a -> b
-        F = {(i, b): md.t(i, b) for b in order[s + 1:]}
+        ni = dims[i]
+        # F[(a, b)]: D^(pos b - s) times the summed composites of the convex
+        # paths from i ending a -> b
+        F = {(i, order[y]): [[x * power[y - s - 1] for x in row]
+                             for row in A[(i, order[y])]]
+             for y in range(s + 1, n)}
         for y in range(s + 1, n):
             b = order[y]
-            total = zeros(dims[b], dims[i])
+            total = [[0] * ni for _ in range(dims[b])]
             for a in order[s:y]:
                 f = F.get((a, b))
                 if f is None:
                     continue
-                total = mat_add(total, f)
-                for c in turns[(a, b)]:
-                    g = mat_mul(md.t(b, c), f, dims[i])
-                    F[(b, c)] = mat_add(F[(b, c)], g) if (b, c) in F else g
-            blocks[(i, b)] = total
+                for o, row in zip(total, f):
+                    for j, v in enumerate(row):
+                        o[j] += v
+                for z in turns[(a, b)]:
+                    c = order[z]
+                    g = F.get((b, c))
+                    if g is None:
+                        F[(b, c)] = g = [[0] * ni for _ in range(dims[c])]
+                    mat_addmul(g, A[(b, c)], f, power[z - y - 1])
+            blocks[(i, b)] = from_ints(total, power[y - s])
     return StokesMatrix(zeta, order, dict(dims), blocks)
 
 

@@ -2,13 +2,13 @@
 
 This is the only module that touches floating point.  Roots of W' and of
 W - p come from the Aberth-Ehrlich simultaneous iteration on Python complex
-numbers; roots of W' are then polished by high-precision Newton until the
-residual drops below 1e-30; fibers W(x) = p are tracked along polylines
-in steps that each restart Newton from the previous fiber's roots (there is
-no predictor), halving until every root converges within a third of the
-current root separation.  Everything exported downstream is snapped to
-exact rationals or integers, with hard failure when a snap is ambiguous, so
-the exact modules never see a float.
+numbers; roots of W' are then polished by high-precision Newton in mpmath,
+imported on first use, until the residual drops below 1e-30; fibers
+W(x) = p are tracked along polylines in steps that each restart Newton from
+the previous fiber's roots (there is no predictor), halving until every root
+converges within a third of the current root separation.  Everything
+exported downstream is snapped to exact rationals or integers, with hard
+failure when a snap is ambiguous, so the exact modules never see a float.
 
 The vanishing class of a critical value is the difference [p] - [q] of the
 two fiber roots that collide there, the pair ordered by the angle at which
@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import mpmath
 
 from .exactgeom import DegenerateConfig, PointConfig, parse_rational
 from .perv import MatrixDiagram
@@ -209,6 +207,7 @@ def _min_pairwise(xs: Sequence[complex]) -> float:
 def _newton_mp(cs: Sequence, ds: Sequence, seed: complex):
     """Polish a root of the mp polynomial cs, with derivative ds, to
     residual below 1e-30; call at 60 digits."""
+    import mpmath
     z = mpmath.mpc(seed)
     for _ in range(200):
         f = _horner(cs, z)
@@ -265,9 +264,6 @@ def fiber_basis(W: Superpotential, p: complex) -> FiberBasis:
     return FiberBasis(complex(p), roots, mp / 4.0)
 
 
-_VALUE_GRID = mpmath.mpf("1e-40")  # critical values round to this, relative to scale
-
-
 @functools.lru_cache(maxsize=64)
 def _critical_core(coeffs: Tuple[Fraction, ...]):
     W = Superpotential(coeffs)
@@ -278,6 +274,10 @@ def _critical_core(coeffs: Tuple[Fraction, ...]):
     raw = _roots([complex(c) for c in reversed(dW)])
     if raw is None:
         raise NotMorse("roots of W' did not converge")
+    import mpmath
+    # critical values round to this grid, relative to scale; it is 1e-40 at
+    # 53 bits, whatever the working precision
+    grid = mpmath.mpf("1e-40", prec=53)
     with mpmath.workdps(60):
         cs, dcs = ([mpmath.mpf(c.numerator) / c.denominator for c in p]
                    for p in (W.coefficients, dW))
@@ -288,7 +288,7 @@ def _critical_core(coeffs: Tuple[Fraction, ...]):
         # round each value to a grid far finer than the polish, so that a
         # zero part is exactly zero and the parts of a conjugate pair are
         # exactly equal, then order the grid values exactly.
-        q = _VALUE_GRID * (1 + max(abs(w) for w in ws_mp))
+        q = grid * (1 + max(abs(w) for w in ws_mp))
         ws_mp = [mpmath.mpc(mpmath.nint(w.real / q) * q,
                             mpmath.nint(w.imag / q) * q) for w in ws_mp]
     order = sorted(range(len(zs)), key=lambda k: (ws_mp[k].real, ws_mp[k].imag))

@@ -24,7 +24,7 @@ preserved, all of which the tests enforce.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -64,8 +64,9 @@ def _require(obj, keys: Sequence[str], where: str) -> None:
 
 
 def _dim(v, where: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise MalformedDiagram(f"{where} must be an integer, not {v!r}")
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        raise MalformedDiagram(f"{where} must be a nonnegative integer, "
+                               f"not {v!r}")
     return v
 
 
@@ -162,8 +163,10 @@ class MatrixDiagram:
     monodromies: Dict[str, Matrix]               # label -> n_i x n_i, invertible
     transports: Dict[Tuple[str, str], Matrix]    # (i, j) -> t_ij, n_j x n_i
     order: List[str] = field(default_factory=list)  # linear spider order
+    # from_obj has checked every shape as it parsed; the check is not repeated
+    _shapes_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _shapes_checked: bool):
         labels = self.config.labels
         if not self.order:
             self.order = list(labels)
@@ -177,7 +180,7 @@ class MatrixDiagram:
             if n is None or n < 0:
                 raise ValueError(f"missing or negative phi_dim for {l}")
             mu = self.monodromies.get(l)
-            if mu is None or not has_shape(mu, n, n):
+            if mu is None or not (_shapes_checked or has_shape(mu, n, n)):
                 raise ValueError(f"monodromy at {l} must be {n}x{n}")
             if det(mu) == 0:
                 raise ValueError(f"monodromy at {l} is singular")
@@ -185,10 +188,12 @@ class MatrixDiagram:
             for j in labels:
                 if i == j:
                     continue
-                t = self.transports.setdefault((i, j),
-                                               zeros(self.phi_dims[j],
-                                                     self.phi_dims[i]))
-                if not has_shape(t, self.phi_dims[j], self.phi_dims[i]):
+                t = self.transports.get((i, j))
+                if t is None:
+                    t = self.transports[(i, j)] = zeros(self.phi_dims[j],
+                                                        self.phi_dims[i])
+                if not (_shapes_checked or
+                        has_shape(t, self.phi_dims[j], self.phi_dims[i])):
                     raise ValueError(f"t[{i}->{j}] must be "
                                      f"{self.phi_dims[j]}x{self.phi_dims[i]}")
 
@@ -247,7 +252,8 @@ class MatrixDiagram:
         order = obj.get("order", [])
         if not isinstance(order, list):
             raise MalformedDiagram("order must be a list of labels")
-        return MatrixDiagram(config, dims, mono, trans, list(order))
+        return MatrixDiagram(config, dims, mono, trans, list(order),
+                             _shapes_checked=True)
 
     @staticmethod
     def from_json(text: str) -> "MatrixDiagram":

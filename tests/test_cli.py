@@ -128,6 +128,30 @@ def test_wrong_value_type_in_a_diagram_is_domain_error(md, key, label, value):
     assert key in payload["message"]
 
 
+@pytest.mark.parametrize("edit, error, named", [
+    (lambda obj: obj["phi_dims"].update(w2=-1), "MalformedDiagram",
+     "phi_dims[w2]"),
+    (lambda obj: obj.update(points={}), "GeometryError", "points"),
+    (lambda obj: obj.update(points=""), "GeometryError", "points"),
+    (lambda obj: obj["transports"].update({"w2->w1": [[True]]}),
+     "GeometryError", "True"),
+    (lambda obj: obj["points"][0].update(x=True), "GeometryError", "True"),
+], ids=["negative-dim", "points-object", "points-string", "true-entry",
+        "true-coordinate"])
+def test_malformed_diagram_entries_are_domain_errors(md, edit, error, named):
+    d, path = md
+    obj = d.to_obj()
+    edit(obj)
+    with open(path, "w") as f:
+        json.dump(obj, f)
+    code, out, err = invoke("stokes", "--config", path, "--zeta", "1,0")
+    assert code == 1
+    assert out == b""
+    payload = json.loads(err)
+    assert payload["error"] == error
+    assert named in payload["message"]
+
+
 @pytest.mark.parametrize("cmd", ["triangulations", "secondary"])
 def test_collinear_configuration_is_domain_error(tmp_path, cmd):
     cfg = PointConfig.of([("a", 0, 0), ("b", 1, 0), ("c", 2, 0),

@@ -1,9 +1,15 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import deadline
 
 from air.exactgeom import (
+    MAX_EXPONENT,
     Direction,
     GeometryError,
     Point,
@@ -36,6 +42,81 @@ def test_parse_and_format_rational():
         parse_rational("1/0")
     with pytest.raises(GeometryError):
         parse_rational("x")
+
+
+def _fraction_or_error(text):
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return GeometryError
+
+
+_DIGITS = st.text(st.sampled_from("0123456789\u0663\u0969"), min_size=1,
+                  max_size=4)
+_CANONICAL = st.builds(lambda sign, n, d: f"{sign}{n}" + (f"/{d}" if d else ""),
+                       st.sampled_from(["", "-"]), st.integers(0, 10**30),
+                       st.one_of(st.none(), st.integers(1, 10**30)))
+_DECIMAL = st.builds(
+    lambda sp, sign, n, frac, e: f"{sp}{sign}{n}{frac}{e}{sp}",
+    st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "-", "+"]),
+    _DIGITS, st.sampled_from(["", ".", ".5", ".0_1", "/7", "/0", "/00"]),
+    st.one_of(st.just(""), st.builds(
+        lambda e, sign, k: f"{e}{sign}{k}", st.sampled_from("eE"),
+        st.sampled_from(["", "-", "+"]), st.integers(0, MAX_EXPONENT))))
+_SCRAMBLED = st.lists(st.sampled_from(["0", "1", "7", "\u0663", "-", "+", "/",
+                                       " ", ".", "e", "E", "_", "x", "\u00b2"]),
+                      max_size=6).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(_CANONICAL, _DECIMAL, _SCRAMBLED))
+@example(text="-0")
+@example(text="007/010")
+@example(text="3/0")
+@example(text="1_000")
+@example(text="\u0661\u0662/\u0663")
+@example(text="\u00b2")
+@example(text="-/2")
+def test_parse_rational_agrees_with_fraction(text):
+    """The int reader of the canonical forms and the Fraction fallback
+    accept the same strings, with the same values."""
+    want = _fraction_or_error(text)
+    m = re.search(r"[eE]([-+]?\d+(?:_\d+)*)$", text.strip())
+    if m and abs(int(m.group(1))) > MAX_EXPONENT:
+        want = GeometryError
+    if want is GeometryError:
+        with pytest.raises(GeometryError):
+            parse_rational(text)
+    else:
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1E-10000000", "-7.5e+99999",
+                                  f"1e{MAX_EXPONENT + 1}", "2e1_000_000"])
+def test_parse_rational_bounds_the_exponent(text):
+    with deadline(2):
+        with pytest.raises(GeometryError, match="exponent"):
+            parse_rational(text)
+
+
+def test_parse_rational_takes_exponents_up_to_the_bound():
+    assert parse_rational(f"1e{MAX_EXPONENT}") == 10 ** MAX_EXPONENT
+    assert parse_rational(f"3e-{MAX_EXPONENT}") == Fraction(3, 10 ** MAX_EXPONENT)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_rational_refuses_booleans(value):
+    with pytest.raises(GeometryError):
+        parse_rational(value)
+    with pytest.raises(GeometryError):
+        pt(value, 0)
+
+
+@pytest.mark.parametrize("points", [{}, "", 0, None, {"label": "a"}])
+def test_points_that_are_not_a_list_are_refused(points):
+    with pytest.raises(GeometryError, match="points"):
+        PointConfig.from_obj({"points": points})
 
 
 def test_orient_signs():

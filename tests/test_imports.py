@@ -1,5 +1,6 @@
 """Every module-level import in the package is used, read off the syntax
-tree, and importing the package pulls in no numpy."""
+tree, importing the package pulls in no numpy, and mpmath waits for the
+first superpotential."""
 
 import ast
 import os
@@ -49,3 +50,15 @@ def test_importing_the_package_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_mpmath_is_loaded_on_first_use():
+    code = ("import sys, air, air.cli, air.lefschetz, air.acceptance\n"
+            "print('mpmath' in sys.modules)\n"
+            "air.lefschetz.critical_data(air.lefschetz.Superpotential.of("
+            "[0, -1, 0, 1]))\n"
+            "print('mpmath' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True"]

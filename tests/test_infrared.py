@@ -1,12 +1,18 @@
 """Convex paths, Stokes matrices, the factorization oracle, wall crossing."""
 
+import hashlib
+import io
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from air.exactgeom import DegenerateConfig, Direction, PointConfig
+from air.cli import run_cli
+from air.exactgeom import (DegenerateConfig, Direction, PointConfig,
+                           check_genericity)
 from air.infrared import (
     BadRay,
     FsFiltration,
@@ -290,6 +296,83 @@ def test_stokes_matrix_checks_genericity_once(monkeypatch):
     monkeypatch.setattr(infrared, "check_genericity", counted)
     stokes_matrix(md, zeta)
     assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data(),
+       kind=st.sampled_from(["mixed", "zero-dims", "integer"]))
+def test_integer_program_equals_the_oracle(seed, data, kind):
+    """The fraction-free program against the factor product, with mixed
+    denominators (scaled ints), with empty spaces, and with integer
+    transports (nothing scaled)."""
+    rng = random.Random(seed)
+    cfg = random_stokes_config(rng, data.draw(st.integers(2, 6), label="n"))
+    zeta = random_generic_zeta(rng, cfg)
+    low = 0 if kind == "zero-dims" else 1
+    dims = {l: data.draw(st.integers(low, 2), label=f"dim {l}")
+            for l in cfg.labels}
+    if kind == "zero-dims":
+        dims[data.draw(st.sampled_from(cfg.labels), label="empty")] = 0
+    denoms = st.just(1) if kind == "integer" else st.integers(1, 12)
+    entry = st.builds(Fraction, st.integers(-9, 9), denoms)
+    trans = {(i, j): [[data.draw(entry) for _ in range(dims[i])]
+                      for _ in range(dims[j])]
+             for i in cfg.labels for j in cfg.labels if i != j}
+    md = MatrixDiagram(cfg, dims, {l: identity(dims[l]) for l in cfg.labels},
+                       trans)
+    C = stokes_matrix(md, zeta)
+    assert C == stokes_matrix_oracle(md, zeta)
+    assert all(type(x) is Fraction
+               for b in C.blocks.values() for row in b for x in row)
+
+
+def _golden_diagram(rng, convex):
+    """A seeded 11-point matrix diagram, transports with denominators up
+    to 12, and a generic zeta."""
+    while True:
+        if convex:
+            xs = rng.sample(range(-20, 21), 11)
+            cfg = PointConfig.of([(f"w{k + 1}", x, x * x)
+                                  for k, x in enumerate(xs)])
+        else:
+            pts = {(rng.randint(-40, 40), rng.randint(-40, 40))
+                   for _ in range(11)}
+            cfg = PointConfig.of([(f"w{k + 1}", x, y)
+                                  for k, (x, y) in enumerate(sorted(pts))])
+        if len(cfg) == 11 and check_genericity(cfg):
+            break
+    dims = {l: rng.choice((0, 1, 2, 2)) for l in cfg.labels}
+    trans = {(i, j): [[Fraction(rng.randint(-5, 5), rng.randint(1, 12))
+                       for _ in range(dims[i])] for _ in range(dims[j])]
+             for i in cfg.labels for j in cfg.labels if i != j}
+    while True:
+        z = (rng.randint(-50, 50), rng.randint(-50, 50))
+        if z != (0, 0) and check_genericity(cfg, zeta=z):
+            break
+    md = MatrixDiagram(cfg, dims, {l: identity(dims[l]) for l in cfg.labels},
+                       trans)
+    return md, f"{z[0]},{z[1]}"
+
+
+GOLDEN_STOKES = ("a149627cb0337c0ac10a153c7a9f09c2"
+                 "41ea650bce5c2889c57680bed0791995")
+
+
+def test_stokes_command_output_is_pinned(tmp_path):
+    """`air stokes` stdout on seeded 11-point diagrams, byte for byte: the
+    digest was recorded with the Fraction program the integer one
+    replaced."""
+    rng = random.Random(2525)
+    digest = hashlib.sha256()
+    for k in range(6):
+        md, zeta = _golden_diagram(rng, convex=k % 2 == 0)
+        path = tmp_path / f"md{k}.json"
+        path.write_text(md.to_json())
+        out = io.BytesIO()
+        assert run_cli(["stokes", "--config", str(path), f"--zeta={zeta}"],
+                       stdout=out) == 0
+        digest.update(out.getvalue())
+    assert digest.hexdigest() == GOLDEN_STOKES
 
 
 # -- the oracle ----------------------------------------------------------------------
