@@ -58,10 +58,13 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, str):
         num, slash, den = text.partition("/")
         if text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit():
-            if not slash:
-                return Fraction(int(num))
-            if den.isdigit() and den.strip("0"):
-                return Fraction(int(num), int(den))
+            try:
+                if not slash:
+                    return Fraction(int(num))
+                if den.isdigit() and den.strip("0"):
+                    return Fraction(int(num), int(den))
+            except ValueError:  # more digits than int reads: Fraction refuses
+                pass            # them too, below, with GeometryError
     elif isinstance(text, Fraction):
         return text
     elif isinstance(text, bool):

@@ -20,13 +20,17 @@ C_ij = sum_a F[(a, j)]; that is O(n^3) block products per source.
 enumerate_convex_paths still lists the paths, for `air paths` and as the
 definition the tests compare against.
 
-The program runs on ints, as the elimination in linalg does.  With D the lcm
-of the denominators of the transports it reads, A_ij = D t_ij is an integer
-matrix, and for source position s it keeps F[(a, b)] scaled by D^(pos b - s),
-so the step t_bc F[(a, b)] becomes A_bc F[(a, b)] D^(pos c - pos b - 1).
-Each entry of C_ij is divided by D^(pos j - s) once, when it is emitted.
-When D = 1, as for every diagram read off a superpotential, nothing is
-scaled.
+The program runs on ints, as the elimination in linalg does.  Let e_c be
+the lcm of the denominators of the transports into c from the labels before
+it, and P_c the product of the e_x over the labels x up to c in the order.
+For b before c, P_c / P_b is a multiple of e_c, so B_bc = (P_c / P_b) t_bc
+is an integer matrix.  For source i the program keeps F[(a, b)] scaled by
+P_b / P_i: it starts from F[(i, b)] = B_ib, adds B_bc F[(a, b)] into
+F[(b, c)] without any other factor, and divides each entry of C_ij by
+P_j / P_i once, when it is emitted.  A large denominator on one transport
+into c enters e_c, and so each scale, once, and is not raised to the length
+of the path; when every transport is integral, as for every diagram read
+off a superpotential, nothing is scaled.
 
 An independent oracle reassembles the same matrix as an angle-ordered product
 of elementary factors Id + t_ij E_ij, multiplied so that factors of smaller
@@ -44,6 +48,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactgeom import (
@@ -60,9 +65,8 @@ from .exactgeom import (
     vsub,
 )
 from .linalg import (Matrix, _block_layout, block_matrix, block_of,
-                     common_denominator, from_ints, identity, inverse,
-                     mat_addmul, mat_from_obj, mat_mul, mat_to_obj, to_ints,
-                     zeros)
+                     identity, inverse, mat_addmul, mat_from_obj, mat_mul,
+                     mat_to_obj, zeros)
 from .lp import LinearSystem
 from .perv import MatrixDiagram
 
@@ -305,18 +309,27 @@ def stokes_matrix(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
                                     if orient(pts[order[x]], pts[order[y]],
                                               pts[order[z]]) < 0]
              for x in range(n) for y in range(x + 1, n)}
-    D = common_denominator(md.t(i, j) for i, j in turns)
-    A = {(i, j): to_ints(md.t(i, j), D) for i, j in turns}  # A_ij = D t_ij
-    power = [D ** k for k in range(n)]
+    # P[z]: the product of e over order[1..z], with e_c the lcm of the
+    # denominators of the transports into c from before it
+    P = [1] * n
+    for z in range(1, n):
+        c = order[z]
+        P[z] = P[z - 1] * lcm(*[x.denominator for b in order[:z]
+                                for row in md.t(b, c) for x in row])
+    B: Dict[Tuple[str, str], List[List[int]]] = {}  # (P_c / P_b) t_bc
+    for y in range(n):
+        for z in range(y + 1, n):
+            k = P[z] // P[y]
+            B[(order[y], order[z])] = [
+                [x.numerator * (k // x.denominator) for x in row]
+                for row in md.t(order[y], order[z])]
     blocks: Dict[Tuple[str, str], Matrix] = {}
     for s in range(n):
         i = order[s]
         ni = dims[i]
-        # F[(a, b)]: D^(pos b - s) times the summed composites of the convex
-        # paths from i ending a -> b
-        F = {(i, order[y]): [[x * power[y - s - 1] for x in row]
-                             for row in A[(i, order[y])]]
-             for y in range(s + 1, n)}
+        # F[(a, b)]: P_b / P_i times the summed composites of the convex
+        # paths from i ending a -> b; the edges from i are never added to
+        F = {(i, order[y]): B[(i, order[y])] for y in range(s + 1, n)}
         for y in range(s + 1, n):
             b = order[y]
             total = [[0] * ni for _ in range(dims[b])]
@@ -332,8 +345,10 @@ def stokes_matrix(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
                     g = F.get((b, c))
                     if g is None:
                         F[(b, c)] = g = [[0] * ni for _ in range(dims[c])]
-                    mat_addmul(g, A[(b, c)], f, power[z - y - 1])
-            blocks[(i, b)] = from_ints(total, power[y - s])
+                    mat_addmul(g, B[(b, c)], f)
+            scale = P[y] // P[s]
+            blocks[(i, b)] = [[Fraction(v, scale) for v in row]
+                              for row in total]
     return StokesMatrix(zeta, order, dict(dims), blocks)
 
 

@@ -8,9 +8,7 @@ elimination, exact on ints and Fractions alike.  It clears each row's
 denominators and then runs on Python ints, where each division by the
 previous pivot is exact.  solve and inverse divide only when they
 back-substitute, and det, solve and inverse return Fractions.  Other
-fraction-free programs clear their denominators with common_denominator and
-to_ints, accumulate integer products with mat_addmul, and divide once with
-from_ints.
+fraction-free programs accumulate their integer products with mat_addmul.
 
 Dimensions may be zero.  An r x 0 matrix is r empty rows, ``[[]] * r``, and a
 0 x r matrix is ``[]``, so the row list loses the width of a matrix with no
@@ -24,8 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactgeom import format_rational, parse_rational
 
@@ -97,30 +94,14 @@ def mat_mul(a: Matrix, b: Matrix, cols: Optional[int] = None) -> Matrix:
 
 
 def mat_addmul(acc: List[List[int]], a: List[List[int]],
-               b: List[List[int]], k: int = 1) -> None:
-    """acc += k * (a @ b) in place, on ints; acc holds the shape of the
-    product, so an empty right factor needs no width."""
+               b: List[List[int]]) -> None:
+    """acc += a @ b in place, on ints; acc holds the shape of the product,
+    so an empty right factor needs no width."""
     for row, o in zip(a, acc):
         for x, bk in zip(row, b):
             if x:
-                x *= k
                 for j, y in enumerate(bk):
                     o[j] += x * y
-
-
-def common_denominator(ms: Iterable[Matrix]) -> int:
-    """The lcm of the denominators of every entry of the given matrices."""
-    return lcm(*[x.denominator for m in ms for row in m for x in row])
-
-
-def to_ints(a: Matrix, scale: int) -> List[List[int]]:
-    """scale * a as ints; scale must be a multiple of every denominator."""
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in a]
-
-
-def from_ints(a: List[List[int]], denom: int) -> Matrix:
-    """a / denom as Fractions: the one division of a fraction-free result."""
-    return [[Fraction(x, denom) for x in row] for row in a]
 
 
 def mat_chain(*ms: Matrix) -> Matrix:

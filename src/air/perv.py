@@ -24,7 +24,7 @@ preserved, all of which the tests enforce.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -163,10 +163,8 @@ class MatrixDiagram:
     monodromies: Dict[str, Matrix]               # label -> n_i x n_i, invertible
     transports: Dict[Tuple[str, str], Matrix]    # (i, j) -> t_ij, n_j x n_i
     order: List[str] = field(default_factory=list)  # linear spider order
-    # from_obj has checked every shape as it parsed; the check is not repeated
-    _shapes_checked: InitVar[bool] = False
 
-    def __post_init__(self, _shapes_checked: bool):
+    def __post_init__(self):
         labels = self.config.labels
         if not self.order:
             self.order = list(labels)
@@ -180,7 +178,7 @@ class MatrixDiagram:
             if n is None or n < 0:
                 raise ValueError(f"missing or negative phi_dim for {l}")
             mu = self.monodromies.get(l)
-            if mu is None or not (_shapes_checked or has_shape(mu, n, n)):
+            if mu is None or not has_shape(mu, n, n):
                 raise ValueError(f"monodromy at {l} must be {n}x{n}")
             if det(mu) == 0:
                 raise ValueError(f"monodromy at {l} is singular")
@@ -192,8 +190,7 @@ class MatrixDiagram:
                 if t is None:
                     t = self.transports[(i, j)] = zeros(self.phi_dims[j],
                                                         self.phi_dims[i])
-                if not (_shapes_checked or
-                        has_shape(t, self.phi_dims[j], self.phi_dims[i])):
+                if not has_shape(t, self.phi_dims[j], self.phi_dims[i]):
                     raise ValueError(f"t[{i}->{j}] must be "
                                      f"{self.phi_dims[j]}x{self.phi_dims[i]}")
 
@@ -252,8 +249,7 @@ class MatrixDiagram:
         order = obj.get("order", [])
         if not isinstance(order, list):
             raise MalformedDiagram("order must be a list of labels")
-        return MatrixDiagram(config, dims, mono, trans, list(order),
-                             _shapes_checked=True)
+        return MatrixDiagram(config, dims, mono, trans, list(order))
 
     @staticmethod
     def from_json(text: str) -> "MatrixDiagram":

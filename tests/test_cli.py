@@ -136,8 +136,10 @@ def test_wrong_value_type_in_a_diagram_is_domain_error(md, key, label, value):
     (lambda obj: obj["transports"].update({"w2->w1": [[True]]}),
      "GeometryError", "True"),
     (lambda obj: obj["points"][0].update(x=True), "GeometryError", "True"),
+    (lambda obj: obj["transports"].update({"w2->w1": [["1" * 4301]]}),
+     "GeometryError", "1111"),
 ], ids=["negative-dim", "points-object", "points-string", "true-entry",
-        "true-coordinate"])
+        "true-coordinate", "over-long-entry"])
 def test_malformed_diagram_entries_are_domain_errors(md, edit, error, named):
     d, path = md
     obj = d.to_obj()

@@ -77,6 +77,9 @@ _SCRAMBLED = st.lists(st.sampled_from(["0", "1", "7", "\u0663", "-", "+", "/",
 @example(text="\u0661\u0662/\u0663")
 @example(text="\u00b2")
 @example(text="-/2")
+@example(text="1" * 4301)
+@example(text="-" + "9" * 5000 + "/7")
+@example(text="1/" + "3" * 4301)
 def test_parse_rational_agrees_with_fraction(text):
     """The int reader of the canonical forms and the Fraction fallback
     accept the same strings, with the same values."""

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from air.cli import run_cli
 from air.exactgeom import (DegenerateConfig, Direction, PointConfig,
-                           check_genericity)
+                           check_genericity, parse_rational)
 from air.infrared import (
     BadRay,
     FsFiltration,
@@ -36,6 +36,7 @@ from air.linalg import identity, mat, mat_eq, mat_mul
 from air.perv import MatrixDiagram
 
 from conftest import (
+    deadline,
     random_generic_config,
     random_generic_zeta,
     random_matrix_diagram,
@@ -373,6 +374,36 @@ def test_stokes_command_output_is_pinned(tmp_path):
                        stdout=out) == 0
         digest.update(out.getvalue())
     assert digest.hexdigest() == GOLDEN_STOKES
+
+
+def test_one_large_denominator_is_not_raised_to_the_path_length(monkeypatch):
+    """A transport entry 1e-4000 enters the integer scales once: the widest
+    integer the program multiplies stays near its 13288 bits, where one
+    denominator common to every transport would be raised to the length of
+    the longest path, ten edges on 11 points."""
+    import air.infrared as infrared
+    md, zeta = _golden_diagram(random.Random(3132), convex=False)
+    z = Direction.of(*zeta.split(","))
+    order = zeta_order(md.config, z)
+    i, j = next((a, b) for a, b in itertools.combinations(order, 2)
+                if md.dim(a) and md.dim(b))
+    md.t(i, j)[0][0] = parse_rational("1e-4000")
+    widest = 0
+    real = infrared.mat_addmul
+
+    def recorded(acc, a, b):
+        nonlocal widest
+        real(acc, a, b)
+        widest = max([widest] + [abs(x).bit_length()
+                                 for m in (acc, a, b) for row in m
+                                 for x in row])
+    monkeypatch.setattr(infrared, "mat_addmul", recorded)
+    with deadline(10):
+        C = stokes_matrix(md, z)
+    assert 13288 <= widest < 2 * 13288
+    monkeypatch.undo()
+    with deadline(10):
+        assert C == stokes_matrix_oracle(md, z)
 
 
 # -- the oracle ----------------------------------------------------------------------
