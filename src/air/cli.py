@@ -12,7 +12,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .exactgeom import Direction, PointConfig, format_rational
+from .exactgeom import Direction, GeometryError, PointConfig, format_rational
 from .infrared import (
     enumerate_convex_paths,
     fs_filtration,
@@ -53,13 +53,17 @@ def _parse_direction(text: str) -> Direction:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            text = f.read()
     except FileNotFoundError:
         raise _UsageError(f"no such file: {path}")
     except OSError as e:
         raise _UsageError(f"cannot read {path}: {e.strerror}")
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise _UsageError(f"invalid JSON in {path}: {e}")
+    except ValueError as e:  # an integer past Python's int-digit limit
+        raise GeometryError(f"number too long in {path}: {e}") from e
 
 
 def _load_config(path: str) -> PointConfig:
@@ -221,6 +225,8 @@ def _cmd_lefschetz(args, out, pretty):
         coeffs = json.loads(args.coeffs)
     except json.JSONDecodeError as e:
         raise _UsageError(f"--coeffs is not JSON: {e}")
+    except ValueError as e:  # an integer past Python's int-digit limit
+        raise GeometryError(f"number too long in --coeffs: {e}") from e
     if not isinstance(coeffs, list):
         raise _UsageError("--coeffs must be a JSON list")
     W = Superpotential.of(coeffs)

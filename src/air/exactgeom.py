@@ -15,6 +15,13 @@ a grid quantity of degree k is divided by scale**k where it leaves.  `orient`
 takes grid pairs (one integer cross product) or rational points (the sign of
 an integer determinant of homogeneous coordinates), never floats.
 
+The genericity convention: a PointConfig finds its collinear triples at most
+once, on first use (`collinear_triples`), and keeps them like its grid.
+check_genericity reads them and scans only the pairs a direction adds, so
+every check of one configuration (a diagram's, each zeta frame's, each
+enumeration's) shares one O(n**3) scan.  A configuration made by subconfig
+or with_point is a new one and finds its own.
+
 Conventions used throughout the package:
 
 - the plane is oriented the usual way (x right, y up); `orient(p, q, r) = +1`
@@ -30,6 +37,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, NamedTuple
 
@@ -222,7 +231,7 @@ class PointConfig:
 
     `scale` (the lcm of the coordinate denominators) and `grid` (label ->
     coordinates times scale, as ints) are derived when the configuration is
-    built; see the module docstring.
+    built, and `collinear_triples` on first use; see the module docstring.
     """
 
     labels: List[str]
@@ -256,6 +265,13 @@ class PointConfig:
         labels = [it[0] for it in items]
         coords = {it[0]: pt(it[1], it[2]) for it in items}
         return PointConfig(labels, coords)
+
+    @cached_property
+    def collinear_triples(self) -> Tuple[Tuple[str, str, str], ...]:
+        """Every collinear triple of labels, in label order."""
+        g = self.grid
+        return tuple((a, b, c) for a, b, c in combinations(self.labels, 3)
+                     if orient(g[a], g[b], g[c]) == 0)
 
     def point(self, label: str) -> Point:
         return self.coords[label]
@@ -422,20 +438,15 @@ class GenericityReport:
 def check_genericity(config: PointConfig, zeta: Optional[Vec] = None) -> GenericityReport:
     """Check the standing genericity assumptions.
 
-    Always: no three points collinear.  With a direction zeta: the projections
+    Always: no three points collinear (the configuration's own
+    collinear_triples).  With a direction zeta: the projections
     <w, rho(zeta)> are pairwise distinct, equivalently no difference w_j - w_i
     is parallel to zeta.
     """
     labels = config.labels
     g = config.grid
-    viol: List[tuple] = []
     n = len(labels)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                a, b, c = labels[i], labels[j], labels[k]
-                if orient(g[a], g[b], g[c]) == 0:
-                    viol.append(("collinear", a, b, c))
+    viol: List[tuple] = [("collinear",) + t for t in config.collinear_triples]
     if zeta is not None:
         r = Direction.of(*rho(zeta))  # rho(zeta) as a primitive int vector
         for i in range(n):

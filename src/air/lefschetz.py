@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactgeom import DegenerateConfig, PointConfig, parse_rational
+from .exactgeom import (DegenerateConfig, PointConfig, check_genericity,
+                        parse_rational)
 from .perv import MatrixDiagram
 
 
@@ -520,11 +521,9 @@ def matrix_diagram_from_W(W: Superpotential,
         raise CriticalValueCollision("critical values collide after snapping")
     config = PointConfig.of([(labels[i], snapped[i][0], snapped[i][1])
                              for i in range(n)])
-    if n >= 3:
-        from .exactgeom import check_genericity
-        rep = check_genericity(config)
-        if not rep.ok:
-            raise CollinearCriticalValues(f"critical values: {rep.violations}")
+    rep = check_genericity(config)
+    if not rep.ok:
+        raise CollinearCriticalValues(f"critical values: {rep.violations}")
     transports: Dict[Tuple[str, str], List[List[Fraction]]] = {}
     for i, j in itertools.combinations(range(n), 2):
         mid = (ws[i] + ws[j]) / 2.0

@@ -240,9 +240,10 @@ class MatrixDiagram:
         trans = {}
         for key, m in transports.items():
             ends = key.split("->")
-            if len(ends) != 2 or any(l not in config.coords for l in ends):
+            if (len(ends) != 2 or ends[0] == ends[1]
+                    or any(l not in config.coords for l in ends)):
                 raise MalformedDiagram(f"transport key {key!r} is not "
-                                       f"'i->j' for two labels")
+                                       f"'i->j' for two distinct labels")
             i, j = ends
             trans[(i, j)] = mat_from_obj(m, dims[j], dims[i],
                                          f"transports[{key}]")

@@ -51,7 +51,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from .exactgeom import (
     DegenerateConfig,
     PointConfig,
-    check_genericity,
     convex_hull,
     hull_labels,
     normvol,
@@ -408,9 +407,9 @@ def _seed_triangulation(config: PointConfig) -> Cells:
 
 def _require_generic(config: PointConfig) -> None:
     """Raise DegenerateConfig naming the first collinear triple, if any."""
-    rep = check_genericity(config)
-    if not rep:
-        raise DegenerateConfig(f"collinear points {list(rep.violations[0][1:])}")
+    triples = config.collinear_triples
+    if triples:
+        raise DegenerateConfig(f"collinear points {list(triples[0])}")
 
 
 def _flip_graph(config: PointConfig) -> Dict[Cells, List[Cells]]:
@@ -647,16 +646,27 @@ def _refines_marked(tri: Cells, mark_sets: List[FrozenSet[str]]) -> bool:
 def secondary_face_lattice(config: PointConfig) -> FaceLattice:
     """All faces of the secondary polytope, as regular marked subdivisions.
 
+    The vertices, the regular triangulations, are read off the regular
+    marked subdivisions: they are those that are triangulations marked only
+    at their vertices.  For these, marked_is_regular asks a point that no
+    cell uses to lie strictly above the plane of the cell containing it,
+    where is_regular asks only that it not lie below.  The two decide
+    alike: such a point appears only in its own rows, each time with a
+    negative coefficient, so raising its height turns heights that meet the
+    non-strict rows into heights that meet the strict ones.
+
     Exhaustive over subdivisions, so limited to small configurations.
     """
     if len(config) > 6:
         raise SubdivisionError("face lattice enumeration supports at most 6 points")
-    regular = regular_triangulations(config)
+    marked = [m for m in enumerate_marked_subdivisions(config)
+              if marked_is_regular(config, m)]
+    regular = sorted(m.cells for m in marked
+                     if all(len(c) == 3 == len(mk)
+                            for c, mk in zip(m.cells, m.marks)))
     sums = [_gkz_sum(config, t) for t in regular]
     by_vertices: Dict[Tuple[int, ...], Face] = {}
-    for msub in enumerate_marked_subdivisions(config):
-        if not marked_is_regular(config, msub):
-            continue
+    for msub in marked:
         marks = msub.mark_sets()
         vs = tuple(i for i, t in enumerate(regular) if _refines_marked(t, marks))
         if not vs:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -138,8 +139,10 @@ def test_wrong_value_type_in_a_diagram_is_domain_error(md, key, label, value):
     (lambda obj: obj["points"][0].update(x=True), "GeometryError", "True"),
     (lambda obj: obj["transports"].update({"w2->w1": [["1" * 4301]]}),
      "GeometryError", "1111"),
+    (lambda obj: obj["transports"].update({"w1->w1": [["1"]]}),
+     "MalformedDiagram", "'w1->w1'"),
 ], ids=["negative-dim", "points-object", "points-string", "true-entry",
-        "true-coordinate", "over-long-entry"])
+        "true-coordinate", "over-long-entry", "self-transport"])
 def test_malformed_diagram_entries_are_domain_errors(md, edit, error, named):
     d, path = md
     obj = d.to_obj()
@@ -152,6 +155,37 @@ def test_malformed_diagram_entries_are_domain_errors(md, edit, error, named):
     payload = json.loads(err)
     assert payload["error"] == error
     assert named in payload["message"]
+
+
+def _int_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python reads integers of any length")
+    return limit
+
+
+@pytest.mark.parametrize("cmd", ["stokes", "triangulations", "lefschetz"])
+def test_bare_json_number_past_the_int_digit_limit_is_domain_error(
+        md, cmd):
+    """json reads a bare integer with int, which refuses more digits than
+    the limit; the quoted form is a GeometryError, and so is this one."""
+    huge = "1" * (_int_digit_limit() + 1)
+    d, path = md
+    if cmd == "lefschetz":
+        argv = ("lefschetz", "--coeffs", f'["0", {huge}, "0", "1"]')
+    else:
+        text = d.to_json().replace('"x": "2"', f'"x": {huge}', 1)
+        assert huge in text
+        with open(path, "w") as f:
+            f.write(text)
+        argv = (cmd, "--config", path) + (("--zeta", "1,0")
+                                          if cmd == "stokes" else ())
+    code, out, err = invoke(*argv)
+    assert code == 1
+    assert out == b""
+    payload = json.loads(err)
+    assert payload["error"] == "GeometryError"
+    assert "too long" in payload["message"]
 
 
 @pytest.mark.parametrize("cmd", ["triangulations", "secondary"])

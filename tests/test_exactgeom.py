@@ -251,6 +251,33 @@ def test_genericity_flags_differences_parallel_to_zeta():
     assert ("zeta_parallel_difference", "a", "b") in rep.violations
 
 
+def test_collinear_triples_are_scanned_once_per_configuration(monkeypatch):
+    import air.exactgeom as exactgeom
+    cfg = PointConfig.of([("a", 0, 0), ("b", 4, 0), ("c", 1, 3), ("d", 3, 2)])
+    calls = []
+    real = exactgeom.orient
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(exactgeom, "orient", counted)
+    assert check_genericity(cfg)
+    assert len(calls) == 4  # the C(4, 3) triples
+    assert check_genericity(cfg, zeta=(Fraction(1), Fraction(5)))
+    assert check_genericity(cfg)
+    assert len(calls) == 4
+    # a derived value: no part of equality or repr
+    assert cfg == PointConfig.of([("a", 0, 0), ("b", 4, 0), ("c", 1, 3),
+                                  ("d", 3, 2)])
+    assert "collinear" not in repr(cfg)
+    # a point added after the check is checked with the others
+    for front, triple in ((False, ("a", "b", "e")), (True, ("e", "a", "b"))):
+        more = cfg.with_point("e", pt(2, 0), front=front)
+        assert check_genericity(more).violations == [("collinear",) + triple]
+        assert not check_genericity(more.subconfig(["a", "b", "e"]))
+    assert check_genericity(cfg)
+
+
 def test_genericity_on_random_perturbed_grids():
     rng = random.Random(42)
     for _ in range(20):

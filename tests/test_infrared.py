@@ -299,6 +299,26 @@ def test_stokes_matrix_checks_genericity_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_stokes_matrix_reads_the_diagrams_genericity(monkeypatch):
+    """The diagram finds its collinear triples once; a Stokes matrix at any
+    zeta then scans only the pairs, with no orientation test in exactgeom."""
+    import air.exactgeom as exactgeom
+    rng = random.Random(411)
+    cfg = random_generic_config(rng, 7)
+    md = random_matrix_diagram(rng, cfg, min_dim=1)
+    zetas = [random_generic_zeta(rng, cfg) for _ in range(2)]
+    calls = []
+    real = exactgeom.orient
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(exactgeom, "orient", counted)
+    for zeta in zetas:
+        stokes_matrix(md, zeta)
+    assert calls == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32), data=st.data(),
        kind=st.sampled_from(["mixed", "zero-dims", "integer"]))

@@ -28,7 +28,7 @@ from air.secondary import (
     secondary_polytope,
     validate_subdivision,
 )
-from conftest import random_generic_config
+from conftest import random_generic_config, random_mixed_config
 
 SQUARE = PointConfig.of([("a", 0, 0), ("b", 1, 0), ("c", 1, 1), ("d", 0, 1)])
 TRI_P = PointConfig.of([("a", 0, 0), ("b", 4, 0), ("c", 0, 4), ("p", 1, 1)])
@@ -278,7 +278,12 @@ def test_face_lattice_pentagon():
 
 
 def test_face_lattice_matches_flip_edges():
-    for cfg in (PENTAGON, TRI_P, MOA):
+    """The lattice reads its vertices off the regular marked subdivisions;
+    the secondary polytope finds them by flips and is_regular."""
+    seeded = [make(random.Random(seed), 3 + seed % 4)
+              for seed in range(12)
+              for make in (random_generic_config, random_mixed_config)]
+    for cfg in [PENTAGON, TRI_P, MOA] + seeded:
         lat = secondary_face_lattice(cfg)
         sp = secondary_polytope(cfg)
         assert lat.regular == sp.regular
