@@ -58,12 +58,18 @@ def _load_json(path: str) -> dict:
         raise _UsageError(f"no such file: {path}")
     except OSError as e:
         raise _UsageError(f"cannot read {path}: {e.strerror}")
+    return _parse_json(text, path, f"invalid JSON in {path}")
+
+
+def _parse_json(text: str, where: str, invalid: str):
+    """json.loads: malformed JSON is a usage error reported as `invalid`, and
+    an integer past Python's int-digit limit a GeometryError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise _UsageError(f"invalid JSON in {path}: {e}")
+        raise _UsageError(f"{invalid}: {e}")
     except ValueError as e:  # an integer past Python's int-digit limit
-        raise GeometryError(f"number too long in {path}: {e}") from e
+        raise GeometryError(f"number too long in {where}: {e}") from e
 
 
 def _load_config(path: str) -> PointConfig:
@@ -221,12 +227,7 @@ def _cmd_mutate(args, out, pretty):
 
 def _cmd_lefschetz(args, out, pretty):
     from .lefschetz import Superpotential, matrix_diagram_from_W
-    try:
-        coeffs = json.loads(args.coeffs)
-    except json.JSONDecodeError as e:
-        raise _UsageError(f"--coeffs is not JSON: {e}")
-    except ValueError as e:  # an integer past Python's int-digit limit
-        raise GeometryError(f"number too long in --coeffs: {e}") from e
+    coeffs = _parse_json(args.coeffs, "--coeffs", "--coeffs is not JSON")
     if not isinstance(coeffs, list):
         raise _UsageError("--coeffs must be a JSON list")
     W = Superpotential.of(coeffs)

@@ -14,15 +14,18 @@ through its lifted first three vertices; the rows ask for
 - every mark of a cell on the cell's plane (equalities),
 - a strict fold across every interior edge: a vertex of the cell on the far
   side lies strictly above this cell's plane,
-- every point that is no cell's vertex above the plane of the cell that
-  contains it: strictly for marked subdivisions, where an unmarked point must
-  leave the plane, and non-strictly for plain ones.
-These suffice.  The lift is then continuous and piecewise linear over the
-hull, and convex across every edge; such a function on a convex domain is
-convex, and with strict folds every plane lies strictly below the lift off
-its own cell.  So each point lies strictly above the plane of every cell
-that does not contain it, which is the global cells x points system.  The
-rows go to the exact simplex solver (lp.py), and the witness heights it
+- every point that is no cell's vertex, and not marked by the cell that
+  contains it, strictly above that cell's plane.
+A plain subdivision allows such a point on the plane too, and the strict
+rows decide it alike: a point that no cell uses appears only in its own
+rows, each time with a negative coefficient, so raising its height turns
+heights that meet them non-strictly into heights that meet them strictly.
+These rows suffice.  The lift is then continuous and piecewise linear over
+the hull, and convex across every edge; such a function on a convex domain
+is convex, and with strict folds every plane lies strictly below the lift
+off its own cell.  So each point lies strictly above the plane of every
+cell that does not contain it, which is the global cells x points system.
+The rows go to the exact simplex solver (lp.py), and the witness heights it
 returns reproduce the subdivision on lift.  The lift itself
 (lift_marked_subdivision) reads its lower faces from the same plane row as
 the regularity rows.
@@ -223,8 +226,7 @@ class RegularityWitness:
 
 
 def _regular_heights(config: PointConfig, cells: Cells,
-                     marks: Sequence[FrozenSet[str]],
-                     strict_inside: bool) -> Optional[Dict[str, Fraction]]:
+                     marks: Sequence[FrozenSet[str]]) -> Optional[Dict[str, Fraction]]:
     """Witness heights for the canonical cells with their mark sets, from the
     local rows of the module docstring, or None if there are none.
 
@@ -256,11 +258,7 @@ def _regular_heights(config: PointConfig, cells: Cells,
         for cell, mk in zip(cells, marks):
             where = point_in_convex_polygon(g[s], [g[l] for l in cell])
             if where and s not in mk:
-                r = _plane_row(g, index, cell, s)
-                if strict_inside:
-                    sys.add_lt(r, 0)
-                else:
-                    sys.add_le(r, 0)
+                sys.add_lt(_plane_row(g, index, cell, s), 0)
             if where == 2:
                 break
     x = sys.feasible_point()
@@ -272,8 +270,7 @@ def _regular_heights(config: PointConfig, cells: Cells,
 def is_regular(config: PointConfig, cells: Iterable[Iterable[str]]) -> RegularityWitness:
     """Decide regularity of a subdivision; the witness heights lift back to it."""
     norm = validate_subdivision(config, cells)
-    heights = _regular_heights(config, norm, [frozenset(c) for c in norm],
-                               strict_inside=False)
+    heights = _regular_heights(config, norm, [frozenset(c) for c in norm])
     return RegularityWitness(heights is not None, heights)
 
 
@@ -297,7 +294,7 @@ def marked_is_regular(config: PointConfig, msub: MarkedSubdivision) -> Regularit
         for s in mk.difference(cell):
             if point_in_convex_polygon(config.grid[s], poly) == 0:
                 raise InvalidSubdivision(f"marked point {s} lies outside cell {cell}")
-    heights = _regular_heights(config, norm, marks, strict_inside=True)
+    heights = _regular_heights(config, norm, marks)
     return RegularityWitness(heights is not None, heights)
 
 
@@ -643,27 +640,28 @@ def _refines_marked(tri: Cells, mark_sets: List[FrozenSet[str]]) -> bool:
     return all(any(set(cell) <= m for m in mark_sets) for cell in tri)
 
 
+def _is_vertex(msub: MarkedSubdivision) -> bool:
+    """A triangulation marked only at its vertices."""
+    return all(len(c) == 3 == len(mk) for c, mk in zip(msub.cells, msub.marks))
+
+
 def secondary_face_lattice(config: PointConfig) -> FaceLattice:
     """All faces of the secondary polytope, as regular marked subdivisions.
 
-    The vertices, the regular triangulations, are read off the regular
-    marked subdivisions: they are those that are triangulations marked only
-    at their vertices.  For these, marked_is_regular asks a point that no
-    cell uses to lie strictly above the plane of the cell containing it,
-    where is_regular asks only that it not lie below.  The two decide
-    alike: such a point appears only in its own rows, each time with a
-    negative coefficient, so raising its height turns heights that meet the
-    non-strict rows into heights that meet the strict ones.
+    Each marked subdivision is tested once.  The vertices, the regular
+    triangulations, are the triangulations marked only at their vertices
+    that is_regular accepts, the test regular_triangulations applies; on
+    these, is_regular and marked_is_regular build the same rows (module
+    docstring).  Every other marked subdivision goes to marked_is_regular.
 
     Exhaustive over subdivisions, so limited to small configurations.
     """
     if len(config) > 6:
         raise SubdivisionError("face lattice enumeration supports at most 6 points")
     marked = [m for m in enumerate_marked_subdivisions(config)
-              if marked_is_regular(config, m)]
-    regular = sorted(m.cells for m in marked
-                     if all(len(c) == 3 == len(mk)
-                            for c, mk in zip(m.cells, m.marks)))
+              if (is_regular(config, m.cells) if _is_vertex(m)
+                  else marked_is_regular(config, m))]
+    regular = sorted(m.cells for m in marked if _is_vertex(m))
     sums = [_gkz_sum(config, t) for t in regular]
     by_vertices: Dict[Tuple[int, ...], Face] = {}
     for msub in marked:

@@ -283,40 +283,30 @@ def test_stokes_matrix_equals_the_path_sum_definition():
 
 
 def test_stokes_matrix_checks_genericity_once(monkeypatch):
+    """One zeta check per call; the diagram found its collinear triples when
+    it was built, so no call runs an orientation test in exactgeom."""
+    import air.exactgeom as exactgeom
     import air.infrared as infrared
     rng = random.Random(410)
     cfg = random_generic_config(rng, 7)
     md = random_matrix_diagram(rng, cfg, min_dim=1)
-    zeta = random_generic_zeta(rng, cfg)
-    calls = []
-    real = infrared.check_genericity
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(infrared, "check_genericity", counted)
-    stokes_matrix(md, zeta)
-    assert len(calls) == 1
-
-
-def test_stokes_matrix_reads_the_diagrams_genericity(monkeypatch):
-    """The diagram finds its collinear triples once; a Stokes matrix at any
-    zeta then scans only the pairs, with no orientation test in exactgeom."""
-    import air.exactgeom as exactgeom
-    rng = random.Random(411)
-    cfg = random_generic_config(rng, 7)
-    md = random_matrix_diagram(rng, cfg, min_dim=1)
     zetas = [random_generic_zeta(rng, cfg) for _ in range(2)]
-    calls = []
-    real = exactgeom.orient
+    checks, orients = [], []
+    real_check, real_orient = infrared.check_genericity, exactgeom.orient
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(exactgeom, "orient", counted)
+    def counted_check(*args, **kwargs):
+        checks.append(args)
+        return real_check(*args, **kwargs)
+
+    def counted_orient(*args):
+        orients.append(args)
+        return real_orient(*args)
+    monkeypatch.setattr(infrared, "check_genericity", counted_check)
+    monkeypatch.setattr(exactgeom, "orient", counted_orient)
     for zeta in zetas:
         stokes_matrix(md, zeta)
-    assert calls == []
+    assert len(checks) == 2
+    assert orients == []
 
 
 @settings(max_examples=60, deadline=None)
