@@ -1,9 +1,11 @@
 """From a one-variable superpotential to a matrix diagram.
 
-Critical values of W become the points; vanishing cycles in a smooth fiber,
-tracked by Newton continuation along straight legs, pair into integer
-transport numbers. The total monodromy must be a single cycle of length
-deg W, matching the monodromy of W at infinity.
+Critical values of W become the points. Newton continuation along straight
+legs from one basepoint finds the vanishing cycle of each value in the
+fiber there; reflected in the cycles of the values they pass, they pair
+into the integer transport along each segment, with t(w2,w1) = -t(w1,w2).
+The total monodromy must be a single cycle of length deg W, matching the
+monodromy of W at infinity.
 """
 
 from air import (

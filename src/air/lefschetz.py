@@ -10,15 +10,25 @@ converges within a third of the current root separation.  Everything
 exported downstream is snapped to exact rationals or integers, with hard
 failure when a snap is ambiguous, so the exact modules never see a float.
 
-The vanishing class of a critical value is the difference [p] - [q] of the
-two fiber roots that collide there, the pair ordered by the angle at which
-the roots approach the critical point.  Transport to a segment midpoint and
-the integer pairing <[p]-[q], [r]-[s]> = d_pr + d_qs - d_ps - d_qr give the
-rank-one transports.  Every monodromy is -1 by the Picard-Lefschetz
-theorem: W is Morse and its critical values are pairwise distinct, so a
-loop around one critical value alone swaps the two roots that collide there
-and sends the vanishing class to its negative.  Absolute signs are
-convention-relative, so tests pin magnitudes and composite identities.
+The vanishing class v_i of a critical value w_i is the difference
+[p] - [q] of the two roots of the fiber over one basepoint p0 that collide
+along the straight leg p0 -> w_i, the pair ordered by the angle at which
+the roots approach the critical point.  Its pairs join all the roots, so
+the classes span the reduced H_0 of that fiber, with the integer pairing
+<[p]-[q], [r]-[s]> = d_pr + d_qs - d_ps - d_qr.  The rank-one transport
+t_ij is a straight-segment datum, the soliton count along w_i w_j
+(Cecotti and Vafa, CMP 158, 1993; Gaiotto, Moore and Witten,
+arXiv:1506.04087).  It is read off the same basis: reflect v_i
+(x -> x - (x.v_k) v_k) in each v_k whose w_k lies inside the triangle
+(p0, m, w_i), m the midpoint of w_i w_j, in the order a ray from p0
+sweeping from w_i to m meets them; do the same for v_j; then
+t_ij = eps <u_i, u_j> and t_ji = -t_ij, with eps = +1 exactly when p0,
+w_i, w_j turn anticlockwise.  On this data the Cecotti-Vafa monodromy
+-S^-1 S^T of every Stokes matrix is the d-cycle's Coxeter element.  Every
+local monodromy is -1 by the Picard-Lefschetz theorem: W is Morse and its
+critical values are pairwise distinct, so a loop around one critical value
+alone swaps the two roots that collide there and sends the vanishing class
+to its negative.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactgeom import (DegenerateConfig, PointConfig, check_genericity,
-                        parse_rational)
+                        orient, parse_rational)
 from .perv import MatrixDiagram
 
 
@@ -319,9 +329,11 @@ def _basepoint(ws: Sequence[complex]) -> complex:
     raise PathTooClose("no clear basepoint direction found")
 
 
-def critical_data(W: Superpotential) -> CriticalData:
+def critical_data(W: Superpotential, max_step: float = 0.25) -> CriticalData:
     """Critical points and values of W, plus the colliding fiber pair at
-    each critical value, identified from a common basepoint below them."""
+    each critical value, identified from a common basepoint below them.
+    The pairs must join all the fiber roots (a spanning tree), as the
+    vanishing classes of a distinguished basis do."""
     zs_mp, ws, ws_mp = _critical_core(W.coefficients)
     ws = list(ws)  # the core result is cached; do not hand out the originals
     zs = [complex(float(z.real), float(z.imag)) for z in zs_mp]
@@ -329,26 +341,41 @@ def critical_data(W: Superpotential) -> CriticalData:
     basis = fiber_basis(W, p0)
     pairing = []
     for i, w in enumerate(ws):
-        pr, _ = _vanishing_pair(W, basis, w, zs[i])
-        pairing.append(pr)
+        gap = min((abs(v - w) for k, v in enumerate(ws) if k != i),
+                  default=math.inf)
+        pairing.append(_vanishing_pair(W, basis, w, zs[i], gap, max_step))
+    if not _is_spanning_tree(pairing, len(basis.roots)):
+        raise PathTooClose(f"vanishing pairs {pairing} do not join all "
+                           "the fiber roots")
     return CriticalData(zs, ws, list(ws_mp), pairing, basis)
 
 
+def _is_spanning_tree(pairs: Sequence[Tuple[int, int]], d: int) -> bool:
+    """Whether the pairs, as edges on the vertices 0..d-1, form a tree
+    through all of them: d - 1 edges, none closing a cycle."""
+    comp = list(range(d))
+    for p, q in pairs:
+        if comp[p] == comp[q]:
+            return False
+        old = comp[q]
+        comp = [comp[p] if c == old else c for c in comp]
+    return len(pairs) == d - 1
+
+
 def _vanishing_pair(W: Superpotential, basis: FiberBasis, w: complex,
-                    z: complex,
-                    max_step: float = 0.25) -> Tuple[Tuple[int, int],
-                                                     List[complex]]:
+                    z: complex, gap: float,
+                    max_step: float = 0.25) -> Tuple[int, int]:
     """Track the fiber from the basis basepoint straight toward the critical
-    value w, stopping short; return the colliding pair as basis indices,
-    ordered by approach angle at the critical point z, plus the stop fiber."""
+    value w, stopping short, at most a tenth of the gap to the nearest
+    other critical value; return the colliding pair as basis indices,
+    ordered by approach angle at the critical point z."""
     d = w - basis.basepoint
     if d == 0:
         raise PathTooClose("basepoint sits on a critical value")
-    delta = 1e-4 * _scale([w, basis.basepoint])
+    delta = min(1e-4 * _scale([w, basis.basepoint]), 0.1 * gap)
     for _ in range(4):
         stop = w - delta * d / abs(d)
-        res = track_fiber(W, [basis.basepoint, stop], basis, max_step)
-        xs = res.roots
+        xs = track_fiber(W, [basis.basepoint, stop], basis, max_step).roots
         pairs = sorted(itertools.combinations(range(len(xs)), 2),
                        key=lambda pq: abs(xs[pq[0]] - xs[pq[1]]))
         (p, q) = pairs[0]
@@ -359,7 +386,7 @@ def _vanishing_pair(W: Superpotential, basis: FiberBasis, w: complex,
             theta = cmath.phase(xs[p] - z)  # in (-pi, pi]
             if not 0 <= theta < math.pi:
                 p, q = q, p
-            return (p, q), xs
+            return p, q
         delta /= 16.0
     raise PathTooClose(f"could not isolate the vanishing pair at {w}")
 
@@ -484,17 +511,61 @@ def _snap_value(x: float) -> Fraction:
     return Fraction(x).limit_denominator(10 ** 6)
 
 
-def _vanishing_class(W: Superpotential, basis: FiberBasis, w: complex,
-                     z: complex, max_step: float = 0.25) -> Dict[int, int]:
-    (p, q), _ = _vanishing_pair(W, basis, w, z, max_step)
-    return {p: 1, q: -1}
+def _swept_class(classes: Sequence[List[int]],
+                 pts: Sequence[Tuple[Fraction, Fraction]], p0, m, i: int,
+                 take_edge: bool) -> List[int]:
+    """The class at p0 that vanishes along p0 -> m -> w_i, from the class
+    v_i that vanishes along the straight leg p0 -> w_i.
+
+    Rotating the first segment about p0 from the leg to p0 -> m sweeps the
+    triangle (p0, m, w_i).  Each critical value w_k it passes adds the loop
+    along the leg p0 -> w_k, whose monodromy is the reflection
+    x -> x - (x.v_k) v_k, applied in the order the sweep meets the values.
+    A value on the open segment p0 m is swept only when take_edge holds, so
+    that it counts for exactly one end of w_i w_j."""
+    s = orient(p0, pts[i], m)
+    inside = [k for k in range(len(pts))
+              if orient(p0, pts[i], pts[k]) == s
+              and orient(pts[i], m, pts[k]) == s
+              and orient(m, p0, pts[k]) in ((s, 0) if take_edge else (s,))]
+    inside.sort(key=functools.cmp_to_key(
+        lambda k, l: -s * orient(p0, pts[k], pts[l])))
+    v = classes[i]
+    for k in inside:
+        r = classes[k]
+        dot = sum(x * y for x, y in zip(v, r))
+        v = [x - dot * y for x, y in zip(v, r)]
+    return v
+
+
+def _segment_transport(classes: Sequence[List[int]],
+                       pts: Sequence[Tuple[Fraction, Fraction]], p0,
+                       i: int, j: int) -> int:
+    """t_ij for i < j: the pairing of the classes that vanish along
+    p0 -> m -> w_i and p0 -> m -> w_j, m the midpoint of w_i w_j, signed
+    by the turn p0, w_i, w_j.  A value on the open segment p0 m counts for
+    w_i: the path to m then passes it on the side of w_j."""
+    m = ((pts[i][0] + pts[j][0]) / 2, (pts[i][1] + pts[j][1]) / 2)
+    ui = _swept_class(classes, pts, p0, m, i, True)
+    uj = _swept_class(classes, pts, p0, m, j, False)
+    return orient(p0, pts[i], pts[j]) * sum(x * y for x, y in zip(ui, uj))
 
 
 def matrix_diagram_from_W(W: Superpotential,
                           max_step: float = 0.25) -> MatrixDiagram:
     """Rank-one matrix diagram on the snapped critical values: transports
-    are integer intersection pairings of vanishing classes tracked to the
-    midpoint of each pair of critical values, monodromies are -1.
+    are integer intersection numbers of vanishing classes transported to
+    the straight segments between critical values, monodromies are -1.
+
+    Every transport comes from the one fiber basis at the basepoint p0 of
+    `critical_data`: v_i = e_p - e_q for the pair (p, q) that collides
+    along the straight leg p0 -> w_i.  For a pair i < j with midpoint m,
+    u_i is v_i reflected, in sweep order, in the v_k of every value inside
+    the triangle (p0, m, w_i) (`_swept_class`), and likewise u_j; then
+    t_ij = eps (u_i . u_j) and t_ji = -t_ij, with eps = +1 exactly when
+    p0, w_i, w_j turn anticlockwise.  Every orientation is decided exactly
+    on the snapped values and the snapped p0; the legs clear every other
+    value by 1e-5 times the scale, more than any snap moves a point.
 
     The monodromies are proved, not tracked.  `_critical_core` enforces two
     exact facts: W' and W'' are coprime, so every critical point is Morse,
@@ -510,8 +581,8 @@ def matrix_diagram_from_W(W: Superpotential,
     by any coordinate when the critical values were snapped to rationals
     with denominator at most 10^6 (zero when exactly representable)."""
     _check_max_step(max_step)
-    data = critical_data(W)
-    ws, zs = data.values, data.points
+    data = critical_data(W, max_step)
+    ws = data.values
     n = len(ws)
     labels = [f"w{i + 1}" for i in range(n)]
     snapped = [(_snap_value(w.real), _snap_value(w.imag)) for w in ws]
@@ -524,19 +595,22 @@ def matrix_diagram_from_W(W: Superpotential,
     rep = check_genericity(config)
     if not rep.ok:
         raise CollinearCriticalValues(f"critical values: {rep.violations}")
+    pts = [config.point(l) for l in labels]
+    b = data.basis.basepoint
+    p0 = (_snap_value(b.real), _snap_value(b.imag))
+    classes = []
+    for p, q in data.pairing:
+        v = [0] * len(data.basis.roots)
+        v[p], v[q] = 1, -1
+        classes.append(v)
     transports: Dict[Tuple[str, str], List[List[Fraction]]] = {}
     for i, j in itertools.combinations(range(n), 2):
-        mid = (ws[i] + ws[j]) / 2.0
-        basis = fiber_basis(W, mid)
-        vi = _vanishing_class(W, basis, ws[i], zs[i], max_step)
-        vj = _vanishing_class(W, basis, ws[j], zs[j], max_step)
-        raw = sum(vi.get(k, 0) * vj.get(k, 0) for k in set(vi) | set(vj))
+        raw = _segment_transport(classes, pts, p0, i, j)
         if raw not in (-1, 0, 1):
             raise SnapFailure(f"pairing {raw} for {labels[i]},{labels[j]} "
                               "is outside the allowed range")
-        t = [[Fraction(raw)]]
-        transports[(labels[i], labels[j])] = t
-        transports[(labels[j], labels[i])] = [[Fraction(raw)]]
+        transports[(labels[i], labels[j])] = [[Fraction(raw)]]
+        transports[(labels[j], labels[i])] = [[Fraction(-raw)]]
     mono = {l: [[Fraction(-1)]] for l in labels}
     dims = {l: 1 for l in labels}
     md = MatrixDiagram(config, dims, mono, transports)

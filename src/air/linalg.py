@@ -297,13 +297,12 @@ def mat_to_obj(a: Matrix) -> list:
 
 def mat_from_obj(obj, rows: Optional[int] = None, cols: Optional[int] = None,
                  name: str = "matrix") -> Matrix:
-    """Parse a list of rows of rationals, checking the shape where given;
-    every row must have the same length."""
+    """Parse a list of rows of rationals, checking the shape where rows and
+    cols are given; otherwise the caller checks it, as a diagram's
+    `__post_init__` does."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise MalformedMatrix(f"{name} must be a list of rows")
-    rows = len(obj) if rows is None else rows
-    if cols is None:
-        cols = len(obj[0]) if obj else 0
-    if not has_shape(obj, rows, cols):
+    if rows is not None and cols is not None and \
+            not has_shape(obj, rows, cols):
         raise MalformedMatrix(f"{name} must be a {rows}x{cols} matrix")
     return mat(obj)

@@ -6,7 +6,10 @@ a'_i: Psi -> Phi_i; it is valid when 1 - a_i a'_i and 1 - a'_i a_i are both
 invertible.  A matrix diagram forgets Psi and keeps the rectilinear data it
 induces: monodromies mu_i = 1 - a'_i a_i and transports t_ij = a'_j a_i, of
 shape n_j x n_i, for every ordered pair.  Matrices are nested lists of
-Fraction; zero-dimensional Phi_i are fully supported.
+Fraction; zero-dimensional Phi_i are fully supported.  A diagram that
+`lefschetz.matrix_diagram_from_W` emits holds straight-segment data: t_ij
+is the transport along the segment w_i w_j, which is what the Stokes sums
+of `infrared` read, not a spider composite in `order`.
 
 Transport along a path word multiplies the moves right-to-left.  A detour
 around p corrects the straight transport by the composite through p: left
@@ -83,16 +86,17 @@ class GmvDiagram:
 
     def __post_init__(self):
         if self.psi_dim < 0:
-            raise ValueError("psi_dim must be nonnegative")
+            raise MalformedDiagram("psi_dim must be nonnegative")
         for l in self.config.labels:
             n = self.phi_dims.get(l)
             if n is None or n < 0:
-                raise ValueError(f"missing or negative phi_dim for {l}")
+                raise MalformedDiagram(f"missing or negative phi_dims[{l}]")
             ai, api = self.a.get(l), self.a_prime.get(l)
             if ai is None or not has_shape(ai, self.psi_dim, n):
-                raise ValueError(f"a[{l}] must be {self.psi_dim}x{n}")
+                raise MalformedDiagram(f"a[{l}] must be {self.psi_dim}x{n}")
             if api is None or not has_shape(api, n, self.psi_dim):
-                raise ValueError(f"a_prime[{l}] must be {n}x{self.psi_dim}")
+                raise MalformedDiagram(f"a_prime[{l}] must be "
+                                       f"{n}x{self.psi_dim}")
 
     def to_obj(self) -> dict:
         return {
@@ -116,9 +120,9 @@ class GmvDiagram:
         m = _dim(obj["psi_dim"], "psi_dim")
         dims = {l: _dim(obj["phi_dims"][l], f"phi_dims[{l}]")
                 for l in config.labels}
-        a = {l: mat_from_obj(obj["a"][l], m, dims[l], f"a[{l}]")
+        a = {l: mat_from_obj(obj["a"][l], name=f"a[{l}]")
              for l in config.labels}
-        ap = {l: mat_from_obj(obj["a_prime"][l], dims[l], m, f"a_prime[{l}]")
+        ap = {l: mat_from_obj(obj["a_prime"][l], name=f"a_prime[{l}]")
               for l in config.labels}
         return GmvDiagram(config, m, dims, a, ap)
 
@@ -169,17 +173,17 @@ class MatrixDiagram:
         if not self.order:
             self.order = list(labels)
         if sorted(self.order) != sorted(labels):
-            raise ValueError("order must be a permutation of the labels")
+            raise MalformedDiagram("order must be a permutation of the labels")
         rep = check_genericity(self.config)
         if not rep:
             raise DegenerateConfig(f"non-generic configuration: {rep.violations}")
         for l in labels:
             n = self.phi_dims.get(l)
             if n is None or n < 0:
-                raise ValueError(f"missing or negative phi_dim for {l}")
+                raise MalformedDiagram(f"missing or negative phi_dims[{l}]")
             mu = self.monodromies.get(l)
             if mu is None or not has_shape(mu, n, n):
-                raise ValueError(f"monodromy at {l} must be {n}x{n}")
+                raise MalformedDiagram(f"monodromies[{l}] must be {n}x{n}")
             if det(mu) == 0:
                 raise ValueError(f"monodromy at {l} is singular")
         for i in labels:
@@ -191,8 +195,9 @@ class MatrixDiagram:
                     t = self.transports[(i, j)] = zeros(self.phi_dims[j],
                                                         self.phi_dims[i])
                 if not has_shape(t, self.phi_dims[j], self.phi_dims[i]):
-                    raise ValueError(f"t[{i}->{j}] must be "
-                                     f"{self.phi_dims[j]}x{self.phi_dims[i]}")
+                    raise MalformedDiagram(
+                        f"transports[{i}->{j}] must be "
+                        f"{self.phi_dims[j]}x{self.phi_dims[i]}")
 
     def t(self, i: str, j: str) -> Matrix:
         return self.transports[(i, j)]
@@ -232,8 +237,7 @@ class MatrixDiagram:
             _require(obj[key], config.labels, key)
         dims = {l: _dim(obj["phi_dims"][l], f"phi_dims[{l}]")
                 for l in config.labels}
-        mono = {l: mat_from_obj(obj["monodromies"][l], dims[l], dims[l],
-                                f"monodromies[{l}]")
+        mono = {l: mat_from_obj(obj["monodromies"][l], name=f"monodromies[{l}]")
                 for l in config.labels}
         transports = obj.get("transports", {})
         _require(transports, (), "transports")
@@ -245,8 +249,7 @@ class MatrixDiagram:
                 raise MalformedDiagram(f"transport key {key!r} is not "
                                        f"'i->j' for two distinct labels")
             i, j = ends
-            trans[(i, j)] = mat_from_obj(m, dims[j], dims[i],
-                                         f"transports[{key}]")
+            trans[(i, j)] = mat_from_obj(m, name=f"transports[{key}]")
         order = obj.get("order", [])
         if not isinstance(order, list):
             raise MalformedDiagram("order must be a list of labels")

@@ -10,6 +10,9 @@ import pytest
 
 from air import lefschetz
 from air.acceptance import _random_morse
+from air.exactgeom import orient
+from air.infrared import chamber_sample, stokes_matrix, stokes_rays
+from air.linalg import charpoly, inverse, mat_mul, transpose
 from air.lefschetz import (
     CollinearCriticalValues,
     CriticalValueCollision,
@@ -34,6 +37,10 @@ def a_n(n):
     coeffs = ["0", "-1"] + ["0"] * (n - 1) + [f"1/{n + 1}"]
     return Superpotential.of(coeffs)
 
+
+# two critical values, -0.1034 -+ 0.0065i, lie 0.013 apart: a stop at
+# 1e-4 times the scale (about 6e-3) from each is as close to the other
+CLOSE_PAIR = Superpotential.of(["-1", "3", "0", "-7", "5/2", "2", "5/2", "1"])
 
 # W' = (x + 1)(x - 2)(x^2 - 2x + 2): two real critical values and the
 # conjugate pair -47/15 +- 22i/15, whose real parts tie
@@ -358,6 +365,139 @@ def test_labels_do_not_depend_on_the_seeds(W, points, monkeypatch):
         lefschetz._critical_core.cache_clear()
         assert matrix_diagram_from_W(W).to_json() == md.to_json()
     lefschetz._critical_core.cache_clear()
+
+
+def _coxeter_in_every_chamber(md):
+    """Whether -S^-1 S^T has characteristic polynomial 1 + x + ... + x^n,
+    n the number of critical values, on both sides of every Stokes ray."""
+    want = [Fraction(1)] * (len(md.config.labels) + 1)
+    for ray in stokes_rays(md.config):
+        for side in ("before", "after"):
+            zeta = chamber_sample(md.config, ray, side)
+            S = stokes_matrix(md, zeta).full_matrix(md.config.labels)
+            M = mat_mul(inverse(S), transpose(S))
+            if charpoly([[-x for x in row] for row in M]) != want:
+                return False
+    return True
+
+
+def _most_values_in_one_triangle(W, md):
+    """The most critical values strictly inside one triangle (p0, m, w_i),
+    m the midpoint of w_i and w_j, on the snapped values."""
+    b = critical_data(W).basis.basepoint
+    p0 = (lefschetz._snap_value(b.real), lefschetz._snap_value(b.imag))
+    pts = [md.config.point(l) for l in md.config.labels]
+    most = 0
+    for wi in pts:
+        for wj in pts:
+            if wj == wi:
+                continue
+            m = ((wi[0] + wj[0]) / 2, (wi[1] + wj[1]) / 2)
+            turns = [{orient(p0, wi, w), orient(wi, m, w), orient(m, p0, w)}
+                     for w in pts]
+            most = max(most, sum(t in ({1}, {-1}) for t in turns))
+    return most
+
+
+# degree 6, five critical values, two of them inside one triangle (p0, m, w_i)
+TWO_INSIDE = Superpotential.of(["-4", "9", "8", "1/2", "-4", "0", "-1"])
+
+
+def test_stokes_monodromy_is_coxeter_in_every_chamber():
+    """The Cecotti-Vafa monodromy -S^-1 S^T of the emitted diagram is the
+    d-cycle's Coxeter element, on both sides of every wall: on criterion
+    10's generator, and on a W whose transports need two reflections, in
+    sweep order, for one class."""
+    rng = random.Random(3)
+    diagrams = []
+    while len(diagrams) < 24:
+        W = _random_morse(rng)
+        if W is None:
+            continue
+        try:
+            md = matrix_diagram_from_W(W)
+        except ValueError:
+            continue
+        if len(md.config.labels) >= 3:
+            diagrams.append(md)
+    md = matrix_diagram_from_W(TWO_INSIDE)
+    assert _most_values_in_one_triangle(TWO_INSIDE, md) >= 2
+    diagrams.append(md)
+    for md in diagrams:
+        assert _coxeter_in_every_chamber(md), md.to_json()
+
+
+def test_opposite_transports_are_negatives():
+    for W in (a_n(2), a_n(3), a_n(4), a_n(5), CONJUGATE, TWO_INSIDE):
+        md = matrix_diagram_from_W(W)
+        labels = md.config.labels
+        for i in labels:
+            for j in labels:
+                if i != j:
+                    assert md.t(j, i) == [[-md.t(i, j)[0][0]]]
+        if W is not TWO_INSIDE:  # every pair of these values pairs to +-1
+            assert all(abs(t[0][0]) == 1 for t in md.transports.values())
+
+
+def test_a_value_on_the_path_to_the_midpoint_counts_once():
+    """A value on the open segment p0 m counts for one end of w_i w_j: the
+    transport equals the one with p0 moved a little to either side, which
+    puts the value strictly inside one triangle or the other."""
+    classes = [[1, -1, 0, 0], [0, 0, 1, -1], [0, 1, -1, 0]]
+    pts = [(Fraction(-1), Fraction(0)), (Fraction(1), Fraction(0)),
+           (Fraction(0), Fraction(-1, 2))]
+    got = {}
+    for dx in (0, Fraction(1, 1000), Fraction(-1, 1000)):
+        p0 = (Fraction(dx), Fraction(-10))
+        got[dx] = [lefschetz._segment_transport(classes, pts, p0, i, j)
+                   for i, j in ((0, 1), (0, 2), (1, 2))]
+    assert got[0] == got[Fraction(1, 1000)] == got[Fraction(-1, 1000)]
+    assert got[0][0] != 0  # the reflection in w3's class is what pairs them
+
+
+def test_one_fiber_basis_and_one_leg_per_value(monkeypatch):
+    """A diagram tracks from the one basis at p0, one leg per critical
+    value, at the max_step it was given."""
+    calls = {"fiber_basis": 0, "track_fiber": []}
+    basis, track = lefschetz.fiber_basis, lefschetz.track_fiber
+
+    def counted_basis(*args, **kw):
+        calls["fiber_basis"] += 1
+        return basis(*args, **kw)
+
+    def counted_track(W, path, b, max_step=0.25):
+        calls["track_fiber"].append(max_step)
+        return track(W, path, b, max_step)
+    monkeypatch.setattr(lefschetz, "fiber_basis", counted_basis)
+    monkeypatch.setattr(lefschetz, "track_fiber", counted_track)
+    matrix_diagram_from_W(a_n(4), max_step=0.125)
+    assert calls == {"fiber_basis": 1, "track_fiber": [0.125] * 4}
+
+
+def _joins_all(pairs, d):
+    reached, frontier = {0}, [0]
+    while frontier:
+        a = frontier.pop()
+        for p, q in pairs:
+            for x, y in ((p, q), (q, p)):
+                if x == a and y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return len(pairs) == d - 1 and reached == set(range(d))
+
+
+def test_close_values_get_distinct_pairs(monkeypatch):
+    """Each leg stops at most a tenth of the gap to the nearest other value
+    short of its own, so two values 0.013 apart get their own pairs, and
+    the pairs join all the roots; pairs that do not are refused."""
+    data = critical_data(CLOSE_PAIR)
+    assert _joins_all(data.pairing, CLOSE_PAIR.degree)
+    md = matrix_diagram_from_W(CLOSE_PAIR)
+    assert _coxeter_in_every_chamber(md)
+    monkeypatch.setattr(lefschetz, "_vanishing_pair",
+                        lambda *args, **kw: (0, 1))
+    with pytest.raises(PathTooClose, match="do not join"):
+        critical_data(a_n(3))
 
 
 def test_step_halving_stable():

@@ -343,6 +343,42 @@ def test_gmv_dimensions_must_be_integers():
         GmvDiagram.from_obj(g)
 
 
+def test_each_matrix_shape_is_checked_once_where_the_diagram_is_built(
+        monkeypatch):
+    """Documents leave every shape to `__post_init__`, which names the
+    entry in a MalformedDiagram: one shape check per matrix."""
+    import air.linalg
+    import air.perv
+    md = random_matrix_diagram(random.Random(19), CFG3)
+    doc = md.to_obj()
+    g = realize_matrix_diagram(md).to_obj()
+    n = len(CFG3.labels)
+    checks = []
+    has_shape = air.linalg.has_shape
+
+    def counted(*args):
+        checks.append(args[1:])
+        return has_shape(*args)
+    monkeypatch.setattr(air.linalg, "has_shape", counted)
+    monkeypatch.setattr(air.perv, "has_shape", counted)
+    MatrixDiagram.from_obj(doc)
+    assert len(checks) == n + n * (n - 1)  # monodromies, then transports
+    checks.clear()
+    GmvDiagram.from_obj(g)
+    assert len(checks) == 2 * n
+    l = CFG3.labels[0]
+    bad = dict(doc, monodromies=dict(doc["monodromies"], **{l: [["1"], []]}))
+    with pytest.raises(MalformedDiagram, match=rf"monodromies\[{l}\]"):
+        MatrixDiagram.from_obj(bad)
+    i, j = CFG3.labels[1], CFG3.labels[0]
+    bad = dict(doc, transports={f"{i}->{j}": [["1"]] * (md.phi_dims[j] + 1)})
+    with pytest.raises(MalformedDiagram, match=rf"transports\[{i}->{j}\]"):
+        MatrixDiagram.from_obj(bad)
+    bad = dict(g, a=dict(g["a"], **{l: [["1", "2", "3"]] * (g["psi_dim"] + 1)}))
+    with pytest.raises(MalformedDiagram, match=rf"a\[{l}\]"):
+        GmvDiagram.from_obj(bad)
+
+
 @pytest.mark.parametrize("key", ["u->x", "u-v", "u->v->w"])
 def test_malformed_transport_keys_rejected(key):
     md = random_matrix_diagram(random.Random(18), CFG3).to_obj()
