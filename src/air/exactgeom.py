@@ -5,15 +5,17 @@ downstream combinatorics (hulls, triangulations, path convexity, Stokes data)
 reduce to the sign predicates in this module, so the predicates are kept
 deliberately small and auditable.
 
-The grid convention: a PointConfig clears its denominators once, when it is
-built.  `scale` is the lcm of its coordinate denominators and
-`grid[l] = coords[l] * scale` is a pair of Python ints.  A positive scale
-keeps every sign and the lexicographic order, so hulls, turn tests and
-point-in-polygon tests read grid pairs, and areas on the grid are integers
-scale**2 times the rational ones.  Values that are emitted stay Fractions:
-a grid quantity of degree k is divided by scale**k where it leaves.  `orient`
-takes grid pairs (one integer cross product) or rational points (the sign of
-an integer determinant of homogeneous coordinates), never floats.
+The integer rule: clear_denominators is the one function that turns
+rationals into integers (times d, the lcm of their denominators), and every
+fraction-free program goes through it: the grid and turns here, the
+eliminations of linalg, the simplex rows of lp and the Stokes sums of
+infrared.  A PointConfig clears its coordinates once, when it is built:
+`scale` is their d and `grid[l] = coords[l] * scale` is a pair of Python
+ints.  A positive scale keeps every sign and the lexicographic order, so
+hulls, turn tests, point-in-polygon tests and projections read grid pairs,
+and areas on the grid are integers scale**2 times the rational ones.
+Values that are emitted stay Fractions: a grid quantity of degree k is
+divided by scale**k where it leaves.  A Direction is a primitive int pair.
 
 The genericity convention: a PointConfig finds its collinear triples at most
 once, on first use (`collinear_triples`), and keeps them like its grid.
@@ -95,6 +97,26 @@ def parse_rational(text) -> Fraction:
         raise GeometryError(f"not a rational number: {text!r}") from exc
 
 
+def clear_denominators(values: Sequence) -> Tuple[List[int], int]:
+    """(ints, d): d is the lcm of the denominators of the ints and Fractions
+    in values, and ints[k] = values[k] * d as a Python int.  A value without
+    a denominator, such as a float, raises AttributeError."""
+    dens = [v.denominator for v in values]
+    d = lcm(*dens)
+    if d == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (d // e) for v, e in zip(values, dens)], d
+
+
+def primitive(values: Sequence) -> List[int]:
+    """The primitive integer vector on the ray of the rational vector: its
+    cleared denominators over their gcd.  It is the same for every positive
+    multiple of the vector, and all zeros on the zero vector."""
+    ints, _ = clear_denominators(values)
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -132,25 +154,16 @@ def sign(q) -> int:
 def orient(p: Point, q: Point, r: Point) -> int:
     """Orientation of the triple: +1 counterclockwise, -1 clockwise, 0 collinear.
 
-    On grid pairs of ints this is the sign of one cross product.  Otherwise
-    it is the sign of the integer determinant with rows (x*d, y*d, d), the
-    homogeneous coordinates of p, q, r with d = den(x)*den(y) > 0.  Scaling
-    a row by a positive weight keeps the sign, so this is the sign of
-    cross(q - p, r - p) for any rationals.  A float coordinate has no
-    numerator and raises AttributeError instead of rounding.
+    The sign of one integer cross product: grid pairs are read as they
+    are, and rational points are first cleared of their denominators
+    together, which scales every coordinate by one positive d and so keeps
+    the sign.  A float coordinate has no denominator and raises
+    AttributeError instead of rounding.
     """
     (x1, y1), (x2, y2), (x3, y3) = p, q, r
-    if int is type(x1) is type(y1) is type(x2) is type(y2) is type(x3) is type(y3):
-        det = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-    else:
-        rows = []
-        for x, y in (p, q, r):
-            a, b = x.denominator, y.denominator
-            rows.append((x.numerator * b, y.numerator * a, a * b))
-        (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = rows
-        det = (w1 * (x2 * y3 - x3 * y2) + w2 * (x3 * y1 - x1 * y3)
-               + w3 * (x1 * y2 - x2 * y1))
-    return sign(det)
+    if not int is type(x1) is type(y1) is type(x2) is type(y2) is type(x3) is type(y3):
+        (x1, y1, x2, y2, x3, y3), _ = clear_denominators((*p, *q, *r))
+    return sign((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1))
 
 
 def rho(zeta: Vec) -> Vec:
@@ -174,20 +187,17 @@ class Direction:
 
     @staticmethod
     def of(dx, dy) -> "Direction":
-        fx, fy = parse_rational(dx), parse_rational(dy)
-        if fx == 0 and fy == 0:
+        v = primitive((parse_rational(dx), parse_rational(dy)))
+        if v == [0, 0]:
             raise GeometryError("zero vector has no direction")
-        m = fx.denominator * fy.denominator
-        ix, iy = int(fx * m), int(fy * m)
-        g = gcd(abs(ix), abs(iy))
-        return Direction(ix // g, iy // g)
+        return Direction(*v)
 
     @staticmethod
     def between(p: Point, q: Point) -> "Direction":
         return Direction.of(q[0] - p[0], q[1] - p[1])
 
-    def vec(self) -> Vec:
-        return (Fraction(self.dx), Fraction(self.dy))
+    def vec(self) -> Tuple[int, int]:
+        return (self.dx, self.dy)
 
     def opposite(self) -> "Direction":
         return Direction(-self.dx, -self.dy)
@@ -229,9 +239,9 @@ def angle_sorted(vectors: Iterable) -> list:
 class PointConfig:
     """An ordered, labelled configuration of distinct rational points.
 
-    `scale` (the lcm of the coordinate denominators) and `grid` (label ->
-    coordinates times scale, as ints) are derived when the configuration is
-    built, and `collinear_triples` on first use; see the module docstring.
+    `scale` and `grid` (label -> coordinates times scale, as ints) are
+    derived when the configuration is built, by clear_denominators, and
+    `collinear_triples` on first use; see the module docstring.
     """
 
     labels: List[str]
@@ -248,17 +258,18 @@ class PointConfig:
         pts = [self.coords[l] for l in self.labels]
         if len(set(pts)) != len(pts):
             raise GeometryError("coincident points in configuration")
-        scale = 1
-        for l, (x, y) in zip(self.labels, pts):
-            try:
-                scale = lcm(scale, x.denominator, y.denominator)
-            except (AttributeError, TypeError) as exc:
-                raise GeometryError(f"point {l!r} has a coordinate that is not "
-                                    f"rational: {(x, y)!r}") from exc
-        self.scale = scale
-        self.grid = {l: (x.numerator * (scale // x.denominator),
-                         y.numerator * (scale // y.denominator))
-                     for l, (x, y) in zip(self.labels, pts)}
+        try:
+            flat, self.scale = clear_denominators([c for p in pts for c in p])
+        except (AttributeError, TypeError) as exc:
+            for l, p in zip(self.labels, pts):
+                try:
+                    clear_denominators(p)
+                except (AttributeError, TypeError):
+                    raise GeometryError(f"point {l!r} has a coordinate that "
+                                        f"is not rational: {tuple(p)!r}") from exc
+            raise
+        it = iter(flat)
+        self.grid = dict(zip(self.labels, zip(it, it)))
 
     @staticmethod
     def of(items: Sequence[Tuple[str, object, object]]) -> "PointConfig":
@@ -448,12 +459,12 @@ def check_genericity(config: PointConfig, zeta: Optional[Vec] = None) -> Generic
     n = len(labels)
     viol: List[tuple] = [("collinear",) + t for t in config.collinear_triples]
     if zeta is not None:
-        r = Direction.of(*rho(zeta))  # rho(zeta) as a primitive int vector
+        rx, ry = primitive(rho(zeta))
         for i in range(n):
             for j in range(i + 1, n):
                 a, b = labels[i], labels[j]
                 d = vsub(g[b], g[a])
-                if d[0] * r.dx + d[1] * r.dy == 0:
+                if d[0] * rx + d[1] * ry == 0:
                     # difference parallel to zeta <=> projection tie
                     viol.append(("zeta_parallel_difference", a, b))
     return GenericityReport(ok=not viol, violations=viol)

@@ -20,11 +20,13 @@ C_ij = sum_a F[(a, j)]; that is O(n^3) block products per source.
 enumerate_convex_paths still lists the paths, for `air paths` and as the
 definition the tests compare against.
 
-The program runs on ints, as the elimination in linalg does.  Let e_c be
-the lcm of the denominators of the transports into c from the labels before
-it, and P_c the product of the e_x over the labels x up to c in the order.
-For b before c, P_c / P_b is a multiple of e_c, so B_bc = (P_c / P_b) t_bc
-is an integer matrix.  For source i the program keeps F[(a, b)] scaled by
+The program runs on ints, as the elimination in linalg does.  The entries
+of the transports into c from the labels before it are cleared together
+(exactgeom.clear_denominators), which gives their scale e_c and the integer
+matrices e_c t_bc.  Let P_c be the product of the e_x over the labels x up
+to c in the order.  For b before c, P_c / P_b is e_c times the integer
+P_c' / P_b, with c' the label before c, so B_bc = (P_c / P_b) t_bc is an
+integer matrix.  For source i the program keeps F[(a, b)] scaled by
 P_b / P_i: it starts from F[(i, b)] = B_ib, adds B_bc F[(a, b)] into
 F[(b, c)] without any other factor, and divides each entry of C_ij by
 P_j / P_i once, when it is emitted.  A large denominator on one transport
@@ -48,7 +50,6 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactgeom import (
@@ -57,6 +58,7 @@ from .exactgeom import (
     PointConfig,
     angle_sorted,
     check_genericity,
+    clear_denominators,
     convex_hull,
     cross,
     dot,
@@ -90,12 +92,6 @@ class NotConvexPosition(ValueError):
 # -- zeta order and convexity -------------------------------------------------------
 
 
-def _positions(config: PointConfig, zeta: Direction) -> Dict[str, Fraction]:
-    r = rho(zeta.vec())
-    return {l: dot((config.point(l).x, config.point(l).y), r)
-            for l in config.labels}
-
-
 @dataclass(frozen=True)
 class _Frame:
     """Facts about a (configuration, zeta) pair, computed once."""
@@ -110,8 +106,8 @@ def _frame(config: PointConfig, zeta: Direction) -> _Frame:
     if not rep.ok:
         raise NonGenericZeta(f"tied projections for zeta={zeta}: "
                              f"{[v[1:] for v in rep.violations]}")
-    pos = _positions(config, zeta)
-    order = sorted(config.labels, key=lambda l: pos[l])
+    r, g = rho(zeta.vec()), config.grid
+    order = sorted(config.labels, key=lambda l: dot(g[l], r))
     return _Frame(order, {l: i for i, l in enumerate(order)})
 
 
@@ -184,13 +180,10 @@ def _hull_vertex_convex_path(config: PointConfig, zeta: Direction,
         k = len(others)
         sys = LinearSystem(k + 1)  # lambda_1..k >= 0, s >= 0
         for var in range(k + 1):
-            e = [Fraction(0)] * (k + 1)
-            e[var] = Fraction(-1)
-            sys.add_le(e, Fraction(0))
-        sys.add_eq([Fraction(1)] * k + [Fraction(0)], Fraction(1))
+            sys.add_le([-1 if u == var else 0 for u in range(k + 1)], 0)
+        sys.add_eq([1] * k + [0], 1)
         for axis in range(2):
-            row = [Fraction(q[axis]) for q in others] + [Fraction(z[axis])]
-            sys.add_eq(row, Fraction(p[axis]))
+            sys.add_eq([q[axis] for q in others] + [z[axis]], p[axis])
         if sys.feasible_point() is not None:
             return False
     return True
@@ -217,10 +210,10 @@ def enumerate_convex_paths(config: PointConfig, zeta: Direction,
 def stokes_rays(config: PointConfig) -> List[Direction]:
     """All wall directions +-(w_j - w_i), deduplicated, by increasing angle."""
     rays = set()
-    labels = config.labels
+    labels, g = config.labels, config.grid
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
-            d = vsub(config.point(labels[j]), config.point(labels[i]))
+            d = vsub(g[labels[j]], g[labels[i]])
             rays.add(Direction.of(d[0], d[1]))
             rays.add(Direction.of(-d[0], -d[1]))
     return [r for _, r in angle_sorted((r.vec(), r) for r in rays)]
@@ -309,20 +302,20 @@ def stokes_matrix(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
                                     if orient(pts[order[x]], pts[order[y]],
                                               pts[order[z]]) < 0]
              for x in range(n) for y in range(x + 1, n)}
-    # P[z]: the product of e over order[1..z], with e_c the lcm of the
-    # denominators of the transports into c from before it
+    # P[z]: the product of e over order[1..z], with e_c the scale of the
+    # transports into c from before it; B[(b, c)] = (P_c / P_b) t_bc
     P = [1] * n
+    B: Dict[Tuple[str, str], List[List[int]]] = {}
     for z in range(1, n):
         c = order[z]
-        P[z] = P[z - 1] * lcm(*[x.denominator for b in order[:z]
-                                for row in md.t(b, c) for x in row])
-    B: Dict[Tuple[str, str], List[List[int]]] = {}  # (P_c / P_b) t_bc
-    for y in range(n):
-        for z in range(y + 1, n):
-            k = P[z] // P[y]
-            B[(order[y], order[z])] = [
-                [x.numerator * (k // x.denominator) for x in row]
-                for row in md.t(order[y], order[z])]
+        ints, e = clear_denominators([x for b in order[:z]
+                                      for row in md.t(b, c) for x in row])
+        P[z] = P[z - 1] * e
+        it = iter(ints)
+        for y in range(z):
+            k = P[z - 1] // P[y]
+            B[(order[y], c)] = [[k * next(it) for _ in range(dims[order[y]])]
+                                for _ in range(dims[c])]
     blocks: Dict[Tuple[str, str], Matrix] = {}
     for s in range(n):
         i = order[s]
@@ -364,7 +357,7 @@ def stokes_matrix_oracle(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
     for a in range(len(order)):
         for b in range(a + 1, len(order)):
             i, j = order[a], order[b]
-            d = vsub(config.point(j), config.point(i))
+            d = vsub(config.grid[j], config.grid[i])
             key = Direction.of(d[0], d[1])
             key = max(key, key.opposite(), key=lambda k: (k.dx, k.dy))
             if key in seen:
@@ -414,8 +407,7 @@ def stokes_matrix_oracle(md: MatrixDiagram, zeta: Direction) -> StokesMatrix:
 def _mediant(u: Direction, v: Direction) -> Direction:
     s = (u.dx + v.dx, u.dy + v.dy)
     if s == (0, 0):  # opposite rays: bisect with the perpendicular
-        r = rho(v.vec())
-        return Direction.of(-r[0], -r[1])
+        return Direction(v.dy, -v.dx)
     return Direction.of(s[0], s[1])
 
 

@@ -4,11 +4,12 @@ Matrices are lists of rows of Fractions or ints.  Sizes in this package are
 tiny (block matrices of total dimension <= ~15).  Every elimination (det,
 rank, inverse, solve, and the greedy bases and orientation signs of the web
 algebra) goes through the one routine _reduce: a fraction-free (Bareiss)
-elimination, exact on ints and Fractions alike.  It clears each row's
-denominators and then runs on Python ints, where each division by the
-previous pivot is exact.  solve and inverse divide only when they
-back-substitute, and det, solve and inverse return Fractions.  Other
-fraction-free programs accumulate their integer products with mat_addmul.
+elimination, exact on ints and Fractions alike.  It turns each row into
+integers by exactgeom.clear_denominators and then runs on Python ints, where
+each division by the previous pivot is exact.  solve and inverse divide only
+when they back-substitute, and det, solve and inverse return Fractions.
+Every matrix product, mat_mul's and those of the other fraction-free
+programs, runs through the one loop of mat_addmul.
 
 Dimensions may be zero.  An r x 0 matrix is r empty rows, ``[[]] * r``, and a
 0 x r matrix is ``[]``, so the row list loses the width of a matrix with no
@@ -21,10 +22,9 @@ and Stokes matrices all go through it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactgeom import format_rational, parse_rational
+from .exactgeom import clear_denominators, format_rational, parse_rational
 
 Matrix = List[List[Fraction]]
 
@@ -79,29 +79,23 @@ def mat_mul(a: Matrix, b: Matrix, cols: Optional[int] = None) -> Matrix:
     r = len(b[0]) if q else cols
     if r is None and a:
         raise ValueError("a product with an empty right factor needs cols")
-    out = []
     for row in a:
         if len(row) != q:
             raise ValueError(f"shape mismatch: {len(a)}x{len(row)} @ {q}x{r}")
-        o = [Fraction(0)] * r
+    out = [[Fraction(0)] * r for _ in a]
+    mat_addmul(out, a, b)
+    return out
+
+
+def mat_addmul(acc: Matrix, a: Matrix, b: Matrix) -> None:
+    """acc += a @ b in place, skipping zero entries; acc holds the shape of
+    the product, so an empty right factor needs no width."""
+    for row, o in zip(a, acc):
         for x, bk in zip(row, b):
             if x:
                 for j, y in enumerate(bk):
                     if y:
                         o[j] += x * y
-        out.append(o)
-    return out
-
-
-def mat_addmul(acc: List[List[int]], a: List[List[int]],
-               b: List[List[int]]) -> None:
-    """acc += a @ b in place, on ints; acc holds the shape of the product,
-    so an empty right factor needs no width."""
-    for row, o in zip(a, acc):
-        for x, bk in zip(row, b):
-            if x:
-                for j, y in enumerate(bk):
-                    o[j] += x * y
 
 
 def mat_chain(*ms: Matrix) -> Matrix:
@@ -121,8 +115,8 @@ def _reduce(a: Matrix, ncols: int) -> Tuple[List[List[int]], List[int], Fraction
     """Fraction-free (Bareiss) forward elimination of a copy of ``a`` over its
     first ``ncols`` columns.
 
-    Each row is first multiplied by the lcm of its denominators, so the loop
-    runs on Python ints.  Every entry it leaves is a minor of those rows: the
+    Each row is first cleared of its denominators, so the loop runs on
+    Python ints.  Every entry it leaves is a minor of those rows: the
     step at pivot p turns x into (p*x - f*y) / prev, with f the entry under
     the pivot, y the pivot row's entry and prev the previous pivot, and the
     division is exact (Sylvester's identity).  The pivot of each column is its
@@ -134,9 +128,8 @@ def _reduce(a: Matrix, ncols: int) -> Tuple[List[List[int]], List[int], Fraction
     rows: List[List[int]] = []
     denom = 1
     for row in a:
-        d = lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (d // x.denominator) for x in row]
-                    if d != 1 else [x.numerator for x in row])
+        ints, d = clear_denominators(row)
+        rows.append(ints)
         denom *= d
     m = len(rows)
     pivots: List[int] = []

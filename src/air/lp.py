@@ -7,9 +7,9 @@ Floating-point LP cannot decide the strict rows; this module decides them
 exactly, with a fraction-free simplex method under Bland's rule (Bland, Math.
 Oper. Res. 2, 1977; Chvatal, Linear Programming, 1983, ch. 3).
 
-- Each row becomes its primitive integer multiple (times the lcm of its
-  denominators, over the gcd of the result), so the tableau holds ints.  A
-  strict row a.x < b becomes a.x + t <= b with one common t >= 0.
+- Each row becomes its primitive integer multiple (exactgeom.primitive), so
+  the tableau holds ints.  A strict row a.x < b becomes a.x + t <= b with
+  one common t >= 0.
 - The x are free.  Each enters the basis by a Gauss-Jordan pivot, on the
   equality rows first; a row that defines an x leaves the ratio test.  An
   equality row left without x must read 0 = 0.  An x that no row constrains
@@ -36,21 +36,17 @@ per point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .exactgeom import parse_rational
+from .exactgeom import parse_rational, primitive
 
 
 def _int_row(coeffs: Sequence, rhs) -> List[int]:
     """The primitive integer multiple of the row, its right-hand side last:
     the same for every positive multiple of the row.  Strings and Fractions
     go through parse_rational."""
-    vals = [c if type(c) is int else parse_rational(c) for c in (*coeffs, rhs)]
-    m = lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (m // v.denominator) for v in vals]
-    g = gcd(*ints) or 1
-    return [v // g for v in ints]
+    return primitive([c if type(c) is int else parse_rational(c)
+                      for c in (*coeffs, rhs)])
 
 
 class LinearSystem:

@@ -172,7 +172,8 @@ class MatrixDiagram:
         labels = self.config.labels
         if not self.order:
             self.order = list(labels)
-        if sorted(self.order) != sorted(labels):
+        if (not all(isinstance(l, str) for l in self.order)
+                or sorted(self.order) != sorted(labels)):
             raise MalformedDiagram("order must be a permutation of the labels")
         rep = check_genericity(self.config)
         if not rep:

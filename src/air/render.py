@@ -84,11 +84,14 @@ class Overlay:
             rays = []
             for r in _list(obj.get("rays", []), "rays"):
                 parts = r.split(",") if isinstance(r, str) else []
-                if len(parts) != 2:
-                    raise MalformedScene(f"a ray must read 'dx,dy', not {r!r}")
-                rays.append(Direction.of(int(parts[0]), int(parts[1])))
+                try:
+                    dx, dy = map(int, parts)
+                except ValueError as exc:
+                    raise MalformedScene(
+                        f"a ray must read 'dx,dy', not {r!r}") from exc
+                rays.append(Direction.of(dx, dy))
             return Overlay("rays", rays=rays)
-        raise ValueError(f"unknown overlay kind: {kind!r}")
+        raise MalformedScene(f"unknown overlay kind: {kind!r}")
 
 
 @dataclass

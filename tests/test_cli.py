@@ -111,6 +111,8 @@ def test_bare_configuration_for_a_diagram_is_domain_error(pentagon, argv):
     ("phi_dims", "w1", [1]),
     ("phi_dims", "w1", True),
     ("order", None, 5),
+    ("order", None, [1, "w2", "w3"]),
+    ("order", None, ["w1", "w2", ["w3"]]),
 ])
 def test_wrong_value_type_in_a_diagram_is_domain_error(md, key, label, value):
     d, path = md
@@ -415,6 +417,8 @@ _POINTS = {"points": [{"label": "a", "x": "0", "y": "0"},
     {"config": _POINTS, "overlays": [{"kind": "path"}]},
     {"config": _POINTS, "overlays": [{"kind": "path", "vertices": 5}]},
     {"config": _POINTS, "overlays": [{"kind": "rays", "rays": [5]}]},
+    {"config": _POINTS, "overlays": [{"kind": "rays", "rays": ["1,x"]}]},
+    {"config": _POINTS, "overlays": [{"kind": "bogus"}]},
     {"config": _POINTS, "viewport": 5},
     {"config": _POINTS, "viewport": [0, 0, 1]},
     {"config": _POINTS, "style": [1]},

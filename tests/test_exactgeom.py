@@ -1,9 +1,10 @@
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import deadline
@@ -17,6 +18,7 @@ from air.exactgeom import (
     angle_less,
     angle_sorted,
     check_genericity,
+    clear_denominators,
     convex_hull,
     format_rational,
     normvol,
@@ -25,6 +27,7 @@ from air.exactgeom import (
     parse_rational,
     point_in_convex_polygon,
     polygon_area2,
+    primitive,
     pt,
     rho,
     segments_cross,
@@ -152,6 +155,46 @@ def test_direction_normalizes_to_primitive_vector():
     assert Direction.between(pt(1, 1), pt(3, 5)) == Direction(1, 2)
     with pytest.raises(GeometryError):
         Direction.of(0, 0)
+
+
+_RATIONAL = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                      st.fractions(max_denominator=10 ** 4))
+_POSITIVE = st.fractions(min_value=0, max_denominator=10 ** 4).filter(
+    lambda q: q > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_RATIONAL, max_size=6))
+def test_clear_denominators_scales_by_the_lcm(values):
+    ints, d = clear_denominators(values)
+    assert d == math.lcm(*(Fraction(v).denominator for v in values))
+    assert all(type(v) is int for v in ints)
+    assert ints == [d * v for v in values]
+    if all(type(v) is int for v in values):
+        assert d == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_RATIONAL, min_size=1, max_size=6), k=_POSITIVE)
+def test_primitive_is_the_same_on_every_positive_multiple(values, k):
+    p = primitive(values)
+    assert primitive([k * v for v in values]) == p
+    assert primitive([0] * len(values)) == [0] * len(values)
+    if any(values):  # p is the primitive vector on the same ray
+        assert math.gcd(*p) == 1
+        c = next(Fraction(a, 1) / v for a, v in zip(p, values) if v)
+        assert c > 0 and p == [c * v for v in values]
+    else:
+        assert p == [0] * len(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dx=_RATIONAL, dy=_RATIONAL)
+def test_direction_of_is_the_primitive_pair(dx, dy):
+    assume(dx or dy)
+    z = Direction.of(dx, dy)
+    assert z == Direction(*primitive((dx, dy)))
+    assert all(type(c) is int for c in z.vec())
 
 
 def test_angle_order_counterclockwise_from_positive_x():

@@ -40,6 +40,7 @@ from conftest import (
     random_generic_config,
     random_generic_zeta,
     random_matrix_diagram,
+    random_mixed_config,
     random_stokes_config,
 )
 
@@ -384,6 +385,33 @@ def test_stokes_command_output_is_pinned(tmp_path):
                        stdout=out) == 0
         digest.update(out.getvalue())
     assert digest.hexdigest() == GOLDEN_STOKES
+
+
+GOLDEN_WALLCROSS = ("0b252e651c8b539e3bc305415fddbab1"
+                    "297123798eaa086998027166f942388f")
+
+
+def test_wallcross_command_output_is_pinned(tmp_path):
+    """`air wallcross` stdout at every Stokes ray of seeded diagrams on 4-6
+    points, byte for byte, as the Fraction rays, chamber samples and frames
+    printed it.  Every other configuration has mixed denominators, so its
+    grid scale exceeds 1."""
+    rng = random.Random(2828)
+    digest = hashlib.sha256()
+    for k in range(6):
+        if k % 2:
+            cfg = random_mixed_config(rng, 4 + k // 2)
+            assert cfg.scale > 1
+        else:
+            cfg = random_stokes_config(rng, 4 + k // 2)
+        path = tmp_path / f"md{k}.json"
+        path.write_text(random_matrix_diagram(rng, cfg).to_json())
+        for ray in stokes_rays(cfg):
+            out = io.BytesIO()
+            assert run_cli(["wallcross", "--config", str(path),
+                            f"--ray={ray}"], stdout=out) == 0
+            digest.update(out.getvalue())
+    assert digest.hexdigest() == GOLDEN_WALLCROSS
 
 
 def test_one_large_denominator_is_not_raised_to_the_path_length(monkeypatch):
