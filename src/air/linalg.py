@@ -8,8 +8,8 @@ elimination, exact on ints and Fractions alike.  It turns each row into
 integers by exactgeom.clear_denominators and then runs on Python ints, where
 each division by the previous pivot is exact.  solve and inverse divide only
 when they back-substitute, and det, solve and inverse return Fractions.
-Every matrix product, mat_mul's and those of the other fraction-free
-programs, runs through the one loop of mat_addmul.
+mat_mul and the fraction-free programs multiply through the one loop of
+mat_addmul.
 
 Dimensions may be zero.  An r x 0 matrix is r empty rows, ``[[]] * r``, and a
 0 x r matrix is ``[]``, so the row list loses the width of a matrix with no

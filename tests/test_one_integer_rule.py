@@ -51,12 +51,6 @@ def test_denominators_are_cleared_in_one_place(path):
     assert [f for f in found if (path.name, f[0]) not in ALLOWED] == []
 
 
-def test_the_one_rule_is_where_the_allow_list_says():
-    tree = ast.parse((SRC / "exactgeom.py").read_text())
-    assert {fn for fn, _, _ in _clearings(tree)} == {
-        "clear_denominators", "format_rational"}
-
-
 def test_a_hand_cleared_denominator_is_reported():
     tree = ast.parse("def f(row):\n"
                      "    d = lcm(*[x.denominator for x in row])\n"
