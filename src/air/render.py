@@ -107,8 +107,8 @@ class Scene:
         for ov in self.overlays:
             used = set(ov.vertices) | {l for c in ov.cells for l in c}
             if not used <= known:
-                raise ValueError(f"overlay references unknown labels "
-                                 f"{sorted(used - known)}")
+                raise MalformedScene(f"overlay references unknown labels "
+                                     f"{sorted(used - known)}")
 
     def to_obj(self) -> dict:
         out: Dict[str, object] = {

@@ -419,6 +419,7 @@ _POINTS = {"points": [{"label": "a", "x": "0", "y": "0"},
     {"config": _POINTS, "overlays": [{"kind": "rays", "rays": [5]}]},
     {"config": _POINTS, "overlays": [{"kind": "rays", "rays": ["1,x"]}]},
     {"config": _POINTS, "overlays": [{"kind": "bogus"}]},
+    {"config": _POINTS, "overlays": [{"kind": "path", "vertices": ["a", "z"]}]},
     {"config": _POINTS, "viewport": 5},
     {"config": _POINTS, "viewport": [0, 0, 1]},
     {"config": _POINTS, "style": [1]},
