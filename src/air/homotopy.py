@@ -20,13 +20,14 @@ those integers (_orientation_sign).  d^2 = 0 is checked, never assumed.
 The A-infinity algebra R has one basis element per infinite polygon: a chain
 of configuration points, strictly increasing in the eta-order and turning
 right at every interior point, closed off by two rays to infinity in the
-direction eta.  Infinity is modeled as a far rational point M*eta, with M at
-an exact bound past which every orientation that involves the far point has
-its M -> infinity sign (see _far_bound).  m2 glues two polygons sharing
-a ray and its sign is the incidence coefficient of the corresponding facet of
-the glued polygon's secondary polytope; all higher products vanish (gluings of
-three or more cells sit in codimension >= 2), which the Stasheff checker
-verifies rather than trusts.
+direction eta.  Infinity is modeled as a far point M*eta at one integer M,
+past which both the combinatorics of every far polygon (_far_bound) and
+every sign read from its GKZ vectors have their M -> infinity values
+(_sign_bound proves it), so each sign is computed once, at that M.  m2 glues
+two polygons sharing a ray and its sign is the incidence coefficient of the
+corresponding facet of the glued polygon's secondary polytope; all higher
+products vanish (gluings of three or more cells sit in codimension >= 2),
+which the Stasheff checker verifies rather than trusts.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, comb, factorial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactgeom import (
@@ -54,6 +56,7 @@ from .secondary import (
     FaceLattice,
     SubdivisionError,
     _gkz_sum,
+    _refines_marked,
     enumerate_triangulations,
     normalize_cell,
     secondary_face_lattice,
@@ -66,10 +69,6 @@ class FaceLatticeUnavailable(ValueError):
 
 class SignInconsistency(AssertionError):
     """Raised when the implemented orientation convention fails d^2 = 0."""
-
-
-class UnstableM(ValueError):
-    pass
 
 
 K_MAX = 4  # the highest arity check_stasheff evaluates
@@ -312,11 +311,10 @@ class WebCdga:
     generators: List[WebGenerator]
     differential: Dict[int, Element]      # generator id -> d(generator)
     lattices: Dict[Tuple[str, ...], FaceLattice]
-    degree: Dict[int, int] = field(default_factory=dict)
+    degree: Dict[int, int] = field(init=False)   # generator id -> degree
 
     def __post_init__(self):
-        if not self.degree:
-            self.degree = {g.gid: g.degree for g in self.generators}
+        self.degree = {g.gid: g.degree for g in self.generators}
 
     def d_element(self, elem: Element) -> Element:
         out: Element = {}
@@ -388,7 +386,6 @@ def build_web_cdga(config: PointConfig) -> WebCdga:
             return gid_of[(sub, None)]
         return gid_of[(sub, face_data[sub].top)]
 
-    degree = {g.gid: g.degree for g in generators}
     differential: Dict[int, Element] = {}
     for g in generators:
         if g.face_index is None:  # pair
@@ -407,7 +404,7 @@ def build_web_cdga(config: PointConfig) -> WebCdga:
             elem = el_add(elem, {mono: Fraction(eps * kappa)})
         differential[g.gid] = elem
 
-    cdga = WebCdga(config, generators, differential, lattices, degree)
+    cdga = WebCdga(config, generators, differential, lattices)
     bad = [g.name for g in generators
            if cdga.d_element(cdga.differential[g.gid])]
     if bad:
@@ -558,7 +555,7 @@ class AInfAlgebra:
     basis: List[Tuple[str, ...]]                 # chains, canonical order
     degrees: List[int]                           # len(chain) - 2
     m2: Dict[Tuple[int, int], Tuple[int, Fraction]]  # (i, j) -> (k, coeff)
-    M: Fraction = Fraction(0)
+    M: int = 0                                   # the far point is M * eta
 
     def m(self, k: int, args: Sequence[int]) -> Dict[int, Fraction]:
         """m_k applied to basis indices; sparse result {basis index: coeff}."""
@@ -585,16 +582,10 @@ class _FarPolygon(NamedTuple):
     top: _FaceData                    # the whole secondary polytope
 
 
-def _far_config(config: PointConfig, eta: Direction, M: Fraction,
-                chain: Tuple[str, ...]) -> PointConfig:
-    """The far-point model of the infinite polygon on a chain."""
-    return config.subconfig(chain).with_point(INF, _far_point(eta, M),
-                                              front=True)
-
-
-def _far_polygon(cfg: PointConfig, triangulations: List[Cells]) -> _FarPolygon:
-    """A far-point model with the GKZ vectors of its triangulations and its
+def _far_polygon(cfg: PointConfig) -> _FarPolygon:
+    """A far-point model with its triangulations, their GKZ vectors and its
     secondary polytope's face data."""
+    triangulations = enumerate_triangulations(cfg)
     gkz = [_gkz_sum(cfg, t) for t in triangulations]
     return _FarPolygon(cfg, triangulations, gkz,
                        _face_data(range(len(triangulations)), gkz))
@@ -606,50 +597,78 @@ def _glued_face_sign(glued: _FarPolygon, left: _FarPolygon,
     infinite polygon, computed in the secondary polytope of its far-point
     model.  The pieces are the polygons of the two halves of the chain cut at
     a shared point."""
-    cfg = glued.config
     marks = [frozenset(left.config.labels), frozenset(right.config.labels)]
-    facet_ids = [i for i, t in enumerate(glued.triangulations)
-                 if all(any(set(c) <= m for m in marks) for c in t)]
-    facet = _face_data(facet_ids, glued.gkz)
+    facet = _face_data([i for i, t in enumerate(glued.triangulations)
+                        if _refines_marked(t, marks)], glued.gkz)
     if facet.dim != glued.top.dim - 1:
         raise SignInconsistency("splitting is not a facet of the glued polygon")
     eps = _incidence_sign(glued.top, facet)
     # operadic order: the left piece first
-    return Fraction(eps * _product_sign(facet, cfg.labels,
+    return Fraction(eps * _product_sign(facet, glued.config.labels,
                                         [(left.config.labels, left.top),
                                          (right.config.labels, right.top)]))
 
 
+def _sign_bound(config: PointConfig, eta: Direction, n: int) -> int:
+    """An integer M >= _far_bound at which every sign _glued_face_sign reads
+    from far polygons of at most n points has its M -> infinity value.
+
+    Let s be the configuration's scale, rho its largest |x| + |y| and
+    R = s * (rho + |eta|_1).  A far polygon's grid has a scale s' dividing s
+    and puts the far point at s' * M * eta, an integer point.  Past _far_bound
+    every triangle keeps its orientation, so its grid area is c + d*M with
+    integers |c|, |d| <= 4 R**2: a finite triangle's is at most (2 s rho)**2,
+    and that of (far point, a, b) is +-(cross(a, b) + M s' cross(b - a, eta)).
+    A polygon of n points has n - 2 triangles, so each grid GKZ entry is
+    c + d*M with |c|, |d| <= G = 4 (n - 2) R**2.  The polygon is convex, so its
+    secondary polytope has at most V = Catalan(n - 2) vertices.  Every matrix
+    that _face_data, _incidence_sign and _product_sign hand to _reduce then
+    has n rows and entries c + d*M with |c|, |d| <= B = 2 V**2 G: differences
+    of GKZ vectors lie within 2G, vertex totals within V G, and the outward
+    vector within 2 V**2 G.
+
+    Every branch and result of _greedy_basis and _orientation_sign is fixed by
+    zero tests and signs of minors of those matrices.  The pivots an
+    elimination picks and the entries it leaves are minors, up to sign
+    (linalg._reduce).  The second elimination in _orientation_sign runs on
+    T cols_R, with T lower triangular and det T a product of the first one's
+    pivots, so it only decides whether det cols_R is zero and reads the sign
+    of det T * det cols_R.  A minor of size r <= n is a polynomial in M of
+    degree at most r with integer coefficients of size at most r! 2**r B**r.
+    A nonzero one has a nonzero integer leading coefficient, so by Cauchy's
+    bound it has no root past 1 + n! 2**n B**n and has its leading sign from
+    there on; a zero one is zero at every M.  The triangulations and facets
+    are the limit ones past _far_bound, so at the returned M every sign is
+    its M -> infinity value.
+    """
+    r = (max((abs(x) + abs(y) for x, y in config.grid.values()), default=0)
+         + config.scale * (abs(eta.dx) + abs(eta.dy)))
+    v = comb(2 * (n - 2), n - 2) // (n - 1)
+    b = 8 * v * v * (n - 2) * r * r
+    return max(ceil(_far_bound(config, eta)), 2 + factorial(n) * 2 ** n * b ** n)
+
+
 def build_ainf(config: PointConfig, eta: Direction) -> AInfAlgebra:
-    """The algebra of infinite polygons in direction eta."""
+    """The algebra of infinite polygons in direction eta.
+
+    Each chain's far polygon is built once, with the far point at the integer
+    M of _sign_bound, where its triangulations and every m2 sign have their
+    M -> infinity values."""
     basis = convex_chains(config, eta)
     idx = {ch: i for i, ch in enumerate(basis)}
-    M = _far_bound(config, eta)
-    # past the bound the triangulations are the M -> infinity ones, so they
-    # are found once, at M
-    triangulations = []
+    M = _sign_bound(config, eta, max(map(len, basis), default=2) + 1)
+    far = _far_point(eta, M)
+    polys = []
     for chain in basis:
-        cfg = _far_config(config, eta, M, chain)
+        cfg = config.subconfig(chain).with_point(INF, far, front=True)
         normalize_cell(cfg, cfg.labels)  # must be strictly convex
-        triangulations.append(enumerate_triangulations(cfg))
-
-    def m2_at(m: Fraction) -> Dict[Tuple[int, int], Tuple[int, Fraction]]:
-        polys = [_far_polygon(_far_config(config, eta, m, chain), tris)
-                 for chain, tris in zip(basis, triangulations)]
-        table: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
-        for k, chain in enumerate(basis):
-            for cut in range(1, len(chain) - 1):
-                i, j = idx.get(chain[:cut + 1]), idx.get(chain[cut:])
-                if i is None or j is None:
-                    continue
-                table[(i, j)] = (k, _glued_face_sign(polys[k], polys[i],
-                                                     polys[j]))
-        return table
-
-    m2 = m2_at(M)
-    # the bound fixes the combinatorics, not the signs of the GKZ volumes
-    if m2 != m2_at(2 * M):
-        raise UnstableM("structure constants change under doubling M")
+        polys.append(_far_polygon(cfg))
+    m2: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
+    for k, chain in enumerate(basis):
+        for cut in range(1, len(chain) - 1):
+            i, j = idx.get(chain[:cut + 1]), idx.get(chain[cut:])
+            if i is not None and j is not None:
+                m2[(i, j)] = (k, _glued_face_sign(polys[k], polys[i], polys[j]))
     return AInfAlgebra(config, eta, basis, [len(c) - 2 for c in basis], m2, M)
 
 

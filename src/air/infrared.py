@@ -89,6 +89,10 @@ class NotConvexPosition(ValueError):
     pass
 
 
+class BadEndpoints(ValueError):
+    """Path endpoints that are not labels, or not in zeta-order."""
+
+
 # -- zeta order and convexity -------------------------------------------------------
 
 
@@ -195,9 +199,9 @@ def enumerate_convex_paths(config: PointConfig, zeta: Direction,
     fr = _frame(config, zeta)
     rank = fr.rank
     if src not in rank or dst not in rank:
-        raise ValueError(f"unknown labels {src}, {dst}")
+        raise BadEndpoints(f"unknown labels {src}, {dst}")
     if rank[src] >= rank[dst]:
-        raise ValueError(f"{src} does not precede {dst} in the zeta-order")
+        raise BadEndpoints(f"{src} does not precede {dst} in the zeta-order")
     out = [ch for ch in _right_turn_chains(config, fr, src, dst)
            if ch[-1] == dst]
     out.sort(key=lambda ch: (len(ch), tuple(rank[l] for l in ch)))

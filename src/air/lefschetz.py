@@ -46,6 +46,10 @@ from .exactgeom import (DegenerateConfig, PointConfig, check_genericity,
 from .perv import MatrixDiagram
 
 
+class BadSuperpotential(ValueError):
+    """A coefficient list of degree below 2 or with a zero leading term."""
+
+
 class NotMorse(ValueError):
     pass
 
@@ -79,9 +83,9 @@ class Superpotential:
 
     def __post_init__(self):
         if len(self.coefficients) < 3:
-            raise ValueError("degree must be at least 2")
+            raise BadSuperpotential("degree must be at least 2")
         if self.coefficients[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
+            raise BadSuperpotential("leading coefficient must be nonzero")
 
     @staticmethod
     def of(coeffs: Sequence) -> "Superpotential":

@@ -58,6 +58,10 @@ class MalformedDiagram(ValueError):
     """A diagram document lacks a key or has the wrong shape."""
 
 
+class SingularMonodromy(ValueError):
+    """A diagram's monodromy at some point is not invertible."""
+
+
 def _require(obj, keys: Sequence[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise MalformedDiagram(f"{where} must be a JSON object")
@@ -186,7 +190,7 @@ class MatrixDiagram:
             if mu is None or not has_shape(mu, n, n):
                 raise MalformedDiagram(f"monodromies[{l}] must be {n}x{n}")
             if det(mu) == 0:
-                raise ValueError(f"monodromy at {l} is singular")
+                raise SingularMonodromy(f"monodromy at {l} is singular")
         for i in labels:
             for j in labels:
                 if i == j:

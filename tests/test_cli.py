@@ -272,6 +272,31 @@ def test_paths_subcommand(md):
     assert obj["paths"] == [["w2", "w1"], ["w2", "w3", "w1"]]
 
 
+@pytest.mark.parametrize("src, dst", [("w2", "zz"), ("w1", "w2")],
+                         ids=["unknown-label", "reversed-pair"])
+def test_paths_names_bad_endpoints(md, src, dst):
+    _, path = md
+    code, out, err = invoke("paths", "--config", path, "--zeta", "0,1",
+                            "--from", src, "--to", dst)
+    assert code == 1 and out == b""
+    assert json.loads(err)["error"] == "BadEndpoints"
+
+
+@pytest.mark.parametrize("argv", [["stokes", "--zeta", "1,0"],
+                                  ["trace", "--subset", "w1,w2,w3"]])
+def test_singular_monodromy_is_named(md, argv):
+    d, path = md
+    obj = d.to_obj()
+    obj["monodromies"]["w1"] = [["0"]]
+    with open(path, "w") as f:
+        json.dump(obj, f)
+    code, out, err = invoke(argv[0], "--config", path, *argv[1:])
+    assert code == 1 and out == b""
+    payload = json.loads(err)
+    assert payload["error"] == "SingularMonodromy"
+    assert "w1" in payload["message"]
+
+
 def test_mutate_round_trip(md):
     d, path = md
     code, out, _ = invoke("mutate", "--config", path, "--word", "1,2,-1")
@@ -311,6 +336,14 @@ def test_lefschetz_rejects_junk_coefficients(coeffs):
     code, out, err = invoke("lefschetz", "--coeffs", coeffs)
     assert code == 1 and out == b""
     assert json.loads(err)["error"] == "GeometryError"
+
+
+@pytest.mark.parametrize("coeffs", ['["1","2"]', '["1","2","0"]'],
+                         ids=["degree-1", "zero-leading"])
+def test_lefschetz_names_a_bad_superpotential(coeffs):
+    code, out, err = invoke("lefschetz", "--coeffs", coeffs)
+    assert code == 1 and out == b""
+    assert json.loads(err)["error"] == "BadSuperpotential"
 
 
 def test_lefschetz_reads_a_json_number_as_its_decimal():

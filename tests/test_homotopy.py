@@ -5,9 +5,11 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
 import pytest
 
+from air.acceptance import DEFAULT_SEED, _random_generic_config, _random_zeta
 from air.exactgeom import Direction, PointConfig, check_genericity, cross, \
     orient, sign, vsub
 import air.homotopy
@@ -21,6 +23,7 @@ from air.homotopy import (
     _face_data,
     _far_bound,
     _far_point,
+    _far_polygon,
     _incidence_sign,
     _lattice_face_data,
     _product_sign,
@@ -357,8 +360,49 @@ def test_ainf_builds_each_far_polygon_once_per_M(monkeypatch):
     monkeypatch.setattr(air.homotopy, "enumerate_triangulations", counted)
     alg = build_ainf(arc, UP)
     assert (len(alg.basis), len(alg.m2)) == (26, 23)
-    # one flip search per chain; the recheck at 2M reuses its triangulations
+    # one far polygon, so one flip search, per chain
     assert len(calls) == len(alg.basis)
+
+
+def _criterion_8_inputs():
+    rng = random.Random(DEFAULT_SEED + 8)
+    out = []
+    for _ in range(20):
+        cfg = _random_generic_config(rng, rng.randint(2, 5), lo=-8, hi=8)
+        out.append((cfg, _random_zeta(rng, cfg)))
+    return out
+
+
+def test_ainf_far_point_is_an_integer_past_the_far_bound():
+    for cfg, eta in _criterion_8_inputs() + _golden_inputs():
+        M = build_ainf(cfg, eta).M
+        assert type(M) is int and M >= _far_bound(cfg, eta)
+
+
+def test_m2_at_the_sign_bound_is_its_limit(monkeypatch):
+    # the golden arc's 5-point chains give 6-point far polygons
+    inputs = _criterion_8_inputs() + [_golden_inputs()[-1]]
+    near = [build_ainf(cfg, eta) for cfg, eta in inputs]
+    real = air.homotopy._sign_bound
+    monkeypatch.setattr(air.homotopy, "_sign_bound",
+                        lambda *args: 2 ** 256 * real(*args))
+    far = [build_ainf(cfg, eta) for cfg, eta in inputs]
+    assert [2 ** 256 * a.M for a in near] == [a.M for a in far]
+    assert [a.m2 for a in near] == [a.m2 for a in far]
+    assert sum(len(a.m2) for a in near) > 40
+
+
+def test_far_gkz_entries_are_affine_in_M():
+    # the first step of _sign_bound's proof: past _far_bound each grid GKZ
+    # entry of a far polygon is c + d*M
+    cfg, eta = _golden_inputs()[-1]
+    M = ceil(_far_bound(cfg, eta))
+    chain = max(convex_chains(cfg, eta), key=len)
+    gkz = [_far_polygon(cfg.subconfig(chain).with_point(
+        INF, _far_point(eta, m), front=True)).gkz for m in (M, 2 * M, 3 * M)]
+    assert len(chain) == 5 and len(gkz[0]) == 14
+    for g1, g2, g3 in zip(*gkz):
+        assert [a - 2 * b + c for a, b, c in zip(g1, g2, g3)] == [0] * 6
 
 
 def test_higher_products_are_zero():
