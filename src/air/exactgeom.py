@@ -298,11 +298,9 @@ class PointConfig:
         kept = [l for l in self.labels if l in keep]
         return PointConfig(kept, {l: self.coords[l] for l in kept})
 
-    def with_point(self, label: str, p: Point, front: bool = False) -> "PointConfig":
-        labels = [label] + self.labels if front else self.labels + [label]
-        coords = dict(self.coords)
-        coords[label] = p
-        return PointConfig(labels, coords)
+    def with_point(self, label: str, p: Point) -> "PointConfig":
+        """The configuration with one more point, placed last."""
+        return PointConfig(self.labels + [label], {**self.coords, label: p})
 
     # -- JSON round trip ---------------------------------------------------
 

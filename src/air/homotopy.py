@@ -1,6 +1,8 @@
 """Web algebra of a planar configuration and the algebra of infinite polygons.
 
-Two graded structures are built here, both with exact rational coefficients.
+Two graded structures are built here, both with integer coefficients: every
+sign and coefficient of the web differential, the chain-complex boundaries and
+m2 is a Python int.
 
 The web CDGA is the free graded-commutative algebra on one generator per face
 of the secondary polytope of every sub-configuration A' (|A'| >= 2, pairs give
@@ -20,10 +22,12 @@ those integers (_orientation_sign).  d^2 = 0 is checked, never assumed.
 The A-infinity algebra R has one basis element per infinite polygon: a chain
 of configuration points, strictly increasing in the eta-order and turning
 right at every interior point, closed off by two rays to infinity in the
-direction eta.  Infinity is modeled as a far point M*eta at one integer M,
-past which both the combinatorics of every far polygon (_far_bound) and
-every sign read from its GKZ vectors have their M -> infinity values
-(_sign_bound proves it), so each sign is computed once, at that M.  m2 glues
+direction eta.  Infinity is modeled as one far point M*eta at one integer M
+(_sign_bound), added once to the configuration; each chain's far polygon is
+the sub-configuration of the chain and that point.  At M both the
+combinatorics of every far polygon and every sign read from its GKZ vectors
+have their M -> infinity values (_sign_bound proves it), so each sign is
+computed once, at that M.  m2 glues
 two polygons sharing a ray and its sign is the incidence coefficient of the
 corresponding facet of the glued polygon's secondary polytope; all higher
 products vanish (gluings of three or more cells sit in codimension >= 2),
@@ -33,9 +37,8 @@ which the Stasheff checker verifies rather than trusts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb, factorial
+from math import comb, factorial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactgeom import (
@@ -49,7 +52,7 @@ from .exactgeom import (
     vsub,
 )
 from .infrared import NonGenericZeta, _frame, _right_turn_chains
-from .linalg import Matrix, _reduce, mat_mul, transpose, zeros
+from .linalg import Matrix, _reduce, mat_mul, transpose
 from .secondary import (
     Cells,
     Cell,
@@ -214,10 +217,10 @@ def polyhedral_chain_complex(source) -> ChainComplex:
     for k in range(1, top_dim + 1):
         rows = pos_in_degree[k - 1]
         cols = pos_in_degree[k]
-        mat = zeros(len(rows), len(cols))
+        mat = [[0] * len(cols) for _ in rows]
         for gid, c in cols.items():
             for fid, eps in facets[gid]:
-                mat[rows[fid]][c] = Fraction(eps)
+                mat[rows[fid]][c] = eps
         boundary[k] = mat
     for k in range(2, top_dim + 1):
         sq = mat_mul(boundary[k - 1], boundary[k])
@@ -229,7 +232,7 @@ def polyhedral_chain_complex(source) -> ChainComplex:
 # -- graded-commutative monomial algebra ----------------------------------------
 
 # An element is a dict: sorted tuple of generator ids -> coefficient.
-Element = Dict[Tuple[int, ...], Fraction]
+Element = Dict[Tuple[int, ...], int]
 
 
 def _merge_sorted(m1: Tuple[int, ...], m2: Tuple[int, ...],
@@ -260,19 +263,14 @@ def _merge_sorted(m1: Tuple[int, ...], m2: Tuple[int, ...],
     return tuple(out), sign
 
 
-def el_add(a: Element, b: Element, coeff: Fraction = Fraction(1)) -> Element:
+def el_add(a: Element, b: Element, coeff: int = 1) -> Element:
     out = dict(a)
     for m, c in b.items():
-        c = c * coeff
-        if m in out:
-            c = out[m] + c
-            if c == 0:
-                del out[m]
-                continue
-        if c != 0:
+        c = out.get(m, 0) + c * coeff
+        if c:
             out[m] = c
-        elif m in out:
-            del out[m]
+        else:
+            out.pop(m, None)
     return out
 
 
@@ -284,7 +282,7 @@ def el_mul(a: Element, b: Element, degree: Dict[int, int]) -> Element:
             if merged is None:
                 continue
             mono, sign = merged
-            c = out.get(mono, Fraction(0)) + sign * c1 * c2
+            c = out.get(mono, 0) + sign * c1 * c2
             if c == 0:
                 out.pop(mono, None)
             else:
@@ -323,9 +321,8 @@ class WebCdga:
             for i, g in enumerate(mono):
                 dg = self.differential[g]
                 if dg:
-                    prefix = {mono[:i]: Fraction(sign)}
-                    term = el_mul(prefix, dg, self.degree)
-                    term = el_mul(term, {mono[i + 1:]: Fraction(1)}, self.degree)
+                    term = el_mul({mono[:i]: sign}, dg, self.degree)
+                    term = el_mul(term, {mono[i + 1:]: 1}, self.degree)
                     out = el_add(out, term, coeff)
                 if self.degree[g] % 2:
                     sign = -sign
@@ -396,19 +393,19 @@ def build_web_cdga(config: PointConfig) -> WebCdga:
         elem: Element = {}
         for fidx, eps in data.facets[g.face_index]:
             if not g.is_top:
-                elem = el_add(elem, {(gid_of[(g.labels, fidx)],): Fraction(eps)})
+                elem = el_add(elem, {(gid_of[(g.labels, fidx)],): eps})
                 continue
             kappa, mono = _factorized_facet(g.labels, lattice.faces[fidx],
                                             data.faces[fidx], face_data,
                                             top_gid)
-            elem = el_add(elem, {mono: Fraction(eps * kappa)})
+            elem = el_add(elem, {mono: eps * kappa})
         differential[g.gid] = elem
 
     cdga = WebCdga(config, generators, differential, lattices)
-    bad = [g.name for g in generators
-           if cdga.d_element(cdga.differential[g.gid])]
-    if bad:
-        raise SignInconsistency(f"d^2 != 0 on generators: {bad}")
+    report = check_d_squared(cdga)
+    if not report.ok:
+        raise SignInconsistency(
+            f"d^2 != 0 on generators: {report.failing_generators}")
     return cdga
 
 
@@ -456,39 +453,45 @@ class ExtendedTriangulation:
     infinite: Tuple[Cell, ...]        # (INF, a, b) ccw around the far point
     finite: Cells
     eta: Direction
-    M: Fraction
+    M: int
 
     def key(self):
         return (tuple(sorted(tuple(sorted(c)) for c in self.cells)),
                 tuple((c[1], c[2]) for c in self.infinite))
 
 
-def _far_point(eta: Direction, M: Fraction) -> Point:
+def _far_point(eta: Direction, M: int) -> Point:
     return pt(M * eta.dx, M * eta.dy)
 
 
-def _far_bound(config: PointConfig, eta: Direction) -> Fraction:
-    """A bound past which config + {M*eta} has its M -> infinity combinatorics.
+def _far_bound(config: PointConfig, eta: Direction) -> int:
+    """An integer past which config + {M*eta} has its M -> infinity
+    combinatorics: the ceiling of 1 + radius + ratio, read off the grid.
 
     orient(a, b, M*eta) is the sign of M*cross(b-a, eta) - cross(b-a, a), so it
     keeps its limit sign once M exceeds every |cross(b-a, a)| / |cross(b-a, eta)|
-    (when cross(b-a, eta) = 0 it does not depend on M).  And since
-    |eta|_1 >= 1, M*eta then lies outside the L1 ball around the
-    configuration: it meets no point, lies outside the hull and has a fixed
-    lexicographic place.  So for every M at or above the bound the chirotope,
-    the triangulations and the canonical cells are the limit ones, on every
-    sub-configuration too.
+    (when cross(b-a, eta) = 0 it does not depend on M); ratio is the largest.
+    And since |eta|_1 >= 1, M*eta then lies outside the L1 ball of the
+    configuration, of the given radius: it meets no point, lies outside the
+    hull and has a fixed lexicographic place.  So for every M at or above the
+    bound the chirotope, the triangulations and the canonical cells are the
+    limit ones, on every sub-configuration too.
+
+    On the grid g = s*p the radius is rho_g / s and each ratio is
+    |cross(d, g_a)| / (s |cross(d, eta)|) with d = g_b - g_a, and the ceiling
+    of the largest sum is the largest ceiling, one integer division each.
     """
-    pts = list(config.coords.values())
+    g = list(config.grid.values())
+    s = config.scale
     v = eta.vec()
-    radius = max((abs(p.x) + abs(p.y) for p in pts), default=0)
-    ratio = max((abs(cross(vsub(b, a), a)) / abs(c)
-                 for a, b in combinations(pts, 2)
-                 if (c := cross(vsub(b, a), v)) != 0), default=0)
-    return Fraction(1 + radius + ratio)
+    rho = max((abs(x) + abs(y) for x, y in g), default=0)
+    ratios = ((abs(cross(d, a)), abs(c)) for a, b in combinations(g, 2)
+              if (c := cross(d := vsub(b, a), v)))
+    return 1 + max((-(-(rho * c + n) // (s * c)) for n, c in ratios),
+                   default=-(-rho // s))
 
 
-def _extended_at(config: PointConfig, eta: Direction, M: Fraction
+def _extended_at(config: PointConfig, eta: Direction, M: int
                  ) -> List[ExtendedTriangulation]:
     """Extended triangulations with the far point at M*eta, M >= _far_bound."""
     ext = config.with_point(INF, _far_point(eta, M))
@@ -524,7 +527,7 @@ def extended_triangulations(config: PointConfig,
     """Triangulations of the configuration together with a far point M*eta.
 
     The far point stands for the vacuum at infinity in the direction eta.  It
-    sits at M = _far_bound, past which the triangulations are the
+    sits at the integer M = _far_bound, past which the triangulations are the
     M -> infinity ones.  A collinear triple, the far point included, raises
     DegenerateConfig.
     """
@@ -554,10 +557,10 @@ class AInfAlgebra:
     eta: Direction
     basis: List[Tuple[str, ...]]                 # chains, canonical order
     degrees: List[int]                           # len(chain) - 2
-    m2: Dict[Tuple[int, int], Tuple[int, Fraction]]  # (i, j) -> (k, coeff)
+    m2: Dict[Tuple[int, int], Tuple[int, int]]  # (i, j) -> (k, coeff)
     M: int = 0                                   # the far point is M * eta
 
-    def m(self, k: int, args: Sequence[int]) -> Dict[int, Fraction]:
+    def m(self, k: int, args: Sequence[int]) -> Dict[int, int]:
         """m_k applied to basis indices; sparse result {basis index: coeff}."""
         if k == 2:
             hit = self.m2.get((args[0], args[1]))
@@ -576,7 +579,7 @@ class AInfAlgebra:
 
 
 class _FarPolygon(NamedTuple):
-    config: PointConfig               # the far point first, then configuration order
+    config: PointConfig               # configuration order, the far point last
     triangulations: List[Cells]
     gkz: List[Tuple[int, ...]]        # grid GKZ sums of the triangulations
     top: _FaceData                    # the whole secondary polytope
@@ -592,7 +595,7 @@ def _far_polygon(cfg: PointConfig) -> _FarPolygon:
 
 
 def _glued_face_sign(glued: _FarPolygon, left: _FarPolygon,
-                     right: _FarPolygon) -> Fraction:
+                     right: _FarPolygon) -> int:
     """Coefficient of (left piece, right piece) in the boundary of the glued
     infinite polygon, computed in the secondary polytope of its far-point
     model.  The pieces are the polygons of the two halves of the chain cut at
@@ -604,14 +607,14 @@ def _glued_face_sign(glued: _FarPolygon, left: _FarPolygon,
         raise SignInconsistency("splitting is not a facet of the glued polygon")
     eps = _incidence_sign(glued.top, facet)
     # operadic order: the left piece first
-    return Fraction(eps * _product_sign(facet, glued.config.labels,
-                                        [(left.config.labels, left.top),
-                                         (right.config.labels, right.top)]))
+    return eps * _product_sign(facet, glued.config.labels,
+                               [(left.config.labels, left.top),
+                                (right.config.labels, right.top)])
 
 
 def _sign_bound(config: PointConfig, eta: Direction, n: int) -> int:
     """An integer M >= _far_bound at which every sign _glued_face_sign reads
-    from far polygons of at most n points has its M -> infinity value.
+    from far polygons of at most n >= 3 points has its M -> infinity value.
 
     Let s be the configuration's scale, rho its largest |x| + |y| and
     R = s * (rho + |eta|_1).  A far polygon's grid has a scale s' dividing s
@@ -640,30 +643,37 @@ def _sign_bound(config: PointConfig, eta: Direction, n: int) -> int:
     there on; a zero one is zero at every M.  The triangulations and facets
     are the limit ones past _far_bound, so at the returned M every sign is
     its M -> infinity value.
+
+    The returned M is past _far_bound too.  Each ratio _far_bound takes is
+    |cross(d, g_a)| / (s |cross(d, eta)|) with grid ints |d|_1 <= 2 rho_g,
+    |g_a|_1 <= rho_g (rho_g = s rho) and a nonzero int cross(d, eta), so
+    _far_bound <= 2 + rho_g + 2 rho_g**2.  With n >= 3, B >= 8 R**2 and
+    R >= rho_g + 1, the bound 2 + n! 2**n B**n is far larger.
     """
     r = (max((abs(x) + abs(y) for x, y in config.grid.values()), default=0)
          + config.scale * (abs(eta.dx) + abs(eta.dy)))
     v = comb(2 * (n - 2), n - 2) // (n - 1)
     b = 8 * v * v * (n - 2) * r * r
-    return max(ceil(_far_bound(config, eta)), 2 + factorial(n) * 2 ** n * b ** n)
+    return 2 + factorial(n) * 2 ** n * b ** n
 
 
 def build_ainf(config: PointConfig, eta: Direction) -> AInfAlgebra:
     """The algebra of infinite polygons in direction eta.
 
-    Each chain's far polygon is built once, with the far point at the integer
-    M of _sign_bound, where its triangulations and every m2 sign have their
-    M -> infinity values."""
+    The far point sits at the integer M of _sign_bound, where the
+    triangulations and every m2 sign have their M -> infinity values.  It is
+    added to the configuration once, and each chain's far polygon is built
+    once, as the sub-configuration of the chain and the far point."""
     basis = convex_chains(config, eta)
     idx = {ch: i for i, ch in enumerate(basis)}
     M = _sign_bound(config, eta, max(map(len, basis), default=2) + 1)
-    far = _far_point(eta, M)
+    ext = config.with_point(INF, _far_point(eta, M))
     polys = []
     for chain in basis:
-        cfg = config.subconfig(chain).with_point(INF, far, front=True)
+        cfg = ext.subconfig((*chain, INF))
         normalize_cell(cfg, cfg.labels)  # must be strictly convex
         polys.append(_far_polygon(cfg))
-    m2: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
+    m2: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for k, chain in enumerate(basis):
         for cut in range(1, len(chain) - 1):
             i, j = idx.get(chain[:cut + 1]), idx.get(chain[cut:])
@@ -706,13 +716,13 @@ def check_stasheff(alg: AInfAlgebra, max_arity: int = 4) -> StasheffReport:
             if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
                 continue  # a corrupted key off the basis is no basis tuple
             sx = -1 if alg.degrees[x] % 2 else 1
-            acc: Dict[int, Fraction] = {}
+            acc: Dict[int, int] = {}
             for k, c in alg.m(2, (x, y)).items():
                 for k2, c2 in alg.m(2, (k, z)).items():
-                    acc[k2] = acc.get(k2, Fraction(0)) + c * c2
+                    acc[k2] = acc.get(k2, 0) + c * c2
             for k, c in alg.m(2, (y, z)).items():
                 for k2, c2 in alg.m(2, (x, k)).items():
-                    acc[k2] = acc.get(k2, Fraction(0)) + sx * c * c2
+                    acc[k2] = acc.get(k2, 0) + sx * c * c2
             if any(v != 0 for v in acc.values()):
                 failures.append((3, (x, y, z)))
     if max_arity >= 4:

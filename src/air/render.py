@@ -159,8 +159,20 @@ def _dec6(x: Fraction) -> str:
     return f"{sign}{q // 10 ** 6}.{q % 10 ** 6:06d}"
 
 
+# a str.translate table; xml.sax.saxutils would import urllib.request
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                          '"': "&quot;"})
+
+
+def _text(s: str) -> str:
+    """s escaped for an attribute value or character data: & < > and "."""
+    return s.translate(_ESCAPES)
+
+
 def _tag(name: str, attrs: Dict[str, str], body: str = "") -> str:
-    parts = "".join(f' {k}="{v}"' for k, v in sorted(attrs.items()))
+    """An element; attribute values are escaped, the body is markup.  A
+    scene's style values reach here as any JSON value."""
+    parts = "".join(f' {k}="{_text(str(v))}"' for k, v in sorted(attrs.items()))
     if body:
         return f"<{name}{parts}>{body}</{name}>"
     return f"<{name}{parts}/>"
@@ -178,7 +190,7 @@ def render_svg(scene: Scene) -> bytes:
     if scene.viewport is not None:
         xmin, ymin, xmax, ymax = scene.viewport
         if xmax <= xmin or ymax <= ymin:
-            raise ValueError("degenerate viewport")
+            raise MalformedScene("degenerate viewport")
     else:
         xs = [cfg.point(l).x for l in cfg.labels]
         ys = [cfg.point(l).y for l in cfg.labels]
@@ -253,7 +265,7 @@ def render_svg(scene: Scene) -> bytes:
             "class": "point", "cx": x, "cy": y, "fill": fill, "r": "4"}))
         elements.append(_tag("text", {
             "class": "label", "font-family": "sans-serif", "font-size": "12",
-            "x": x, "y": y}, f" {label}"))
+            "x": x, "y": y}, _text(f" {label}")))
 
     body = "\n  ".join(elements)
     doc = (

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from xml.dom import minidom
 
 import pytest
 
@@ -418,6 +419,28 @@ def test_render_deterministic(tmp_path, pentagon):
     assert len(outs) == 1
 
 
+def test_render_escapes_labels_and_styles(tmp_path):
+    fill = 'red" onload="alert(1)'
+    scene = {"config": PointConfig.of([("a<b&c", 0, 0), ("d", 1, 1)]).to_obj(),
+             "overlays": [{"kind": "path", "vertices": ["a<b&c", "d"]},
+                          {"kind": "hull"}],
+             "style": {"fill": fill, "stroke": 7}}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code, out, _ = invoke("render", "--scene", str(path))
+    assert code == 0
+    doc = minidom.parseString(out)
+    labels = [t.firstChild.data.strip("\u2009")
+              for t in doc.getElementsByTagName("text")]
+    assert labels == ["a<b&c", "d"]
+    circles = doc.getElementsByTagName("circle")
+    assert {c.getAttribute("fill") for c in circles} == {fill}
+    assert not any(c.hasAttribute("onload") for c in circles)
+    assert doc.getElementsByTagName("polyline")[0].getAttribute("stroke") == fill
+    # a style value may be any JSON value; it is written as its str
+    assert doc.getElementsByTagName("polygon")[0].getAttribute("stroke") == "7"
+
+
 def test_render_to_file(tmp_path, pentagon):
     cfg, _ = pentagon
     path = scene_file(tmp_path, cfg, [])
@@ -456,6 +479,7 @@ _POINTS = {"points": [{"label": "a", "x": "0", "y": "0"},
     {"config": _POINTS, "viewport": 5},
     {"config": _POINTS, "viewport": [0, 0, 1]},
     {"config": _POINTS, "style": [1]},
+    {"config": _POINTS, "viewport": [1, 0, 1, 1]},
 ])
 def test_render_malformed_scene_is_a_domain_error(tmp_path, scene):
     path = tmp_path / "scene.json"

@@ -105,10 +105,10 @@ def test_grid_is_coordinates_times_the_lcm_of_denominators():
     sub = cfg.subconfig(["b", "d"])
     check(sub)
     assert sub.scale == 6
-    wide = cfg.with_point("e", pt("1/11", "1/2"), front=True)
+    wide = cfg.with_point("e", pt("1/11", "1/2"))
     check(wide)
     assert wide.scale == 126 * 11
-    assert wide.labels[0] == "e"
+    assert wide.labels[-1] == "e"
 
 
 def test_grid_fields_stay_out_of_equality_and_repr():

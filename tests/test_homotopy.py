@@ -5,7 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import ceil
+from math import comb, factorial
 
 import pytest
 
@@ -358,10 +358,21 @@ def test_ainf_builds_each_far_polygon_once_per_M(monkeypatch):
         calls.append(cfg)
         return real(cfg)
     monkeypatch.setattr(air.homotopy, "enumerate_triangulations", counted)
+    built = []
+    real_post_init = PointConfig.__post_init__
+
+    def counted_post_init(cfg):
+        built.append(cfg)
+        real_post_init(cfg)
+    monkeypatch.setattr(PointConfig, "__post_init__", counted_post_init)
     alg = build_ainf(arc, UP)
     assert (len(alg.basis), len(alg.m2)) == (26, 23)
     # one far polygon, so one flip search, per chain
     assert len(calls) == len(alg.basis)
+    # the far point joins the configuration once; each far polygon is a
+    # sub-configuration of that, the far point last
+    assert len(built) == len(alg.basis) + 1
+    assert all(cfg.labels[-1] == INF for cfg in calls)
 
 
 def _criterion_8_inputs():
@@ -373,10 +384,23 @@ def _criterion_8_inputs():
     return out
 
 
-def test_ainf_far_point_is_an_integer_past_the_far_bound():
-    for cfg, eta in _criterion_8_inputs() + _golden_inputs():
-        M = build_ainf(cfg, eta).M
-        assert type(M) is int and M >= _far_bound(cfg, eta)
+def test_ainf_far_point_is_an_integer_past_the_far_bound(monkeypatch):
+    inputs = _criterion_8_inputs() + _golden_inputs()
+    bounds = [_far_bound(cfg, eta) for cfg, eta in inputs]
+    assert all(type(b) is int for b in bounds)
+
+    def unused(*args):
+        raise AssertionError("build_ainf calls _far_bound")
+    monkeypatch.setattr(air.homotopy, "_far_bound", unused)
+    for (cfg, eta), bound in zip(inputs, bounds):
+        alg = build_ainf(cfg, eta)
+        # M is still max(_far_bound, Cauchy's bound) of _sign_bound's proof
+        n = max(map(len, alg.basis), default=2) + 1
+        r = (max((abs(x) + abs(y) for x, y in cfg.grid.values()), default=0)
+             + cfg.scale * (abs(eta.dx) + abs(eta.dy)))
+        b = 8 * (comb(2 * n - 4, n - 2) // (n - 1)) ** 2 * (n - 2) * r * r
+        assert type(alg.M) is int
+        assert alg.M == max(bound, 2 + factorial(n) * 2 ** n * b ** n)
 
 
 def test_m2_at_the_sign_bound_is_its_limit(monkeypatch):
@@ -396,13 +420,26 @@ def test_far_gkz_entries_are_affine_in_M():
     # the first step of _sign_bound's proof: past _far_bound each grid GKZ
     # entry of a far polygon is c + d*M
     cfg, eta = _golden_inputs()[-1]
-    M = ceil(_far_bound(cfg, eta))
+    M = _far_bound(cfg, eta)
     chain = max(convex_chains(cfg, eta), key=len)
-    gkz = [_far_polygon(cfg.subconfig(chain).with_point(
-        INF, _far_point(eta, m), front=True)).gkz for m in (M, 2 * M, 3 * M)]
+    gkz = [_far_polygon(cfg.with_point(INF, _far_point(eta, m)).subconfig(
+        (*chain, INF))).gkz for m in (M, 2 * M, 3 * M)]
     assert len(chain) == 5 and len(gkz[0]) == 14
     for g1, g2, g3 in zip(*gkz):
         assert [a - 2 * b + c for a, b, c in zip(g1, g2, g3)] == [0] * 6
+
+
+def test_golden_signs_and_coefficients_are_ints():
+    seen = 0
+    for cfg, eta in _golden_inputs():
+        coeffs = [c for elem in build_web_cdga(cfg).differential.values()
+                  for c in elem.values()]
+        coeffs += [x for mat in polyhedral_chain_complex(cfg).boundary.values()
+                   for row in mat for x in row]
+        coeffs += [c for _, c in build_ainf(cfg, eta).m2.values()]
+        assert all(type(c) is int for c in coeffs)
+        seen += len(coeffs)
+    assert seen > 300
 
 
 def test_higher_products_are_zero():
